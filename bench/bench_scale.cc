@@ -9,19 +9,14 @@
 // reference; scripts/check_determinism.sh byte-diffs the two and
 // scripts/bench_perf.sh records the throughput ratio in BENCH_PERF.json.
 //
-// `--shards=N` switches to the deterministic sharded driver
-// (sim/sharded_simulator.h) with N worker threads and streaming workload
-// generation (trace/workload_stream.h), the configuration that carries a
-// single run to 100k nodes: stdout is byte-identical for every N >= 1, and
-// peak RSS no longer materializes all task specs up front. N=0 (default)
-// is the legacy monolithic path, byte-for-byte unchanged.
+// Each cell is one serial run; docs/PERFORMANCE.md explains why there is no
+// parallelism inside a run.
 #include <chrono>
-#include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "bench_common.h"
-#include "sim/sharded_simulator.h"
-#include "trace/workload_stream.h"
+#include "common/parse_int.h"
 
 using namespace ckpt;
 using namespace ckpt::bench;
@@ -31,9 +26,7 @@ namespace {
 // Sequential generator for the dense arrival burst sized to the cluster:
 // `tasks_per_node * nodes` tasks, ~2x the cluster's capacity over the
 // arrival horizon, with the paper's three priority bands represented so
-// every policy both kills and checkpoints. Shared by the materialized
-// (ScaleWorkload) and streaming (SnapshotStream) paths so the two cannot
-// drift apart.
+// every policy both kills and checkpoints.
 struct ScaleJobGen {
   int total_tasks;
   Rng rng;
@@ -81,12 +74,8 @@ struct ScaleJobGen {
   }
 };
 
-ScaleJobGen MakeScaleGen(int nodes, int tasks_per_node, std::uint64_t seed) {
-  return ScaleJobGen{nodes * tasks_per_node, Rng(seed)};
-}
-
 Workload ScaleWorkload(int nodes, int tasks_per_node, std::uint64_t seed) {
-  ScaleJobGen gen = MakeScaleGen(nodes, tasks_per_node, seed);
+  ScaleJobGen gen{nodes * tasks_per_node, Rng(seed)};
   Workload workload;
   workload.jobs.reserve(static_cast<size_t>(gen.TotalJobs()));
   while (!gen.Done()) workload.jobs.push_back(gen.Next());
@@ -98,46 +87,11 @@ struct CellResult {
   SimulationResult result;
   std::int64_t events = 0;
   double seconds = 0;
-  std::int64_t barriers = 0;         // sharded cells only; 0 for legacy
-  double events_per_window = 0.0;    // shard events / barriers
-  std::string metrics_entry;
 };
 
 CellResult RunCell(int nodes, PreemptionPolicy policy, bool use_index,
-                   int shards, bool batch, Observability* obs) {
+                   Observability* obs) {
   CellResult cell;
-  if (shards > 0) {
-    // Sharded driver + streaming submission. Results are identical for
-    // every `shards` value (it only sets the worker count); they are a
-    // distinct, equally deterministic serialization from the legacy path.
-    ShardedSimulator::Options opt;
-    opt.workers = shards;
-    opt.batch_windows = batch;
-    ShardedSimulator ssim(opt);
-    Simulator& sim = *ssim.coordinator();
-    Cluster cluster(&sim);
-    cluster.AddNodes(nodes, Resources{16.0, GiB(64)}, StorageMedium::Ssd());
-    SchedulerConfig config;
-    config.policy = policy;
-    config.medium = StorageMedium::Ssd();
-    config.use_feasibility_index = use_index;
-    config.obs = obs;
-    config.sharded = &ssim;
-    ClusterScheduler scheduler(&sim, &cluster, config);
-    auto stream = std::make_unique<SnapshotStream<ScaleJobGen>>(
-        MakeScaleGen(nodes, /*tasks_per_node=*/8, /*seed=*/2011));
-    scheduler.SubmitStream(stream.get());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    cell.result = scheduler.Run();
-    const auto t1 = std::chrono::steady_clock::now();
-    cell.seconds = std::chrono::duration<double>(t1 - t0).count();
-    cell.events = ssim.EventsProcessed();
-    cell.barriers = ssim.Barriers();
-    cell.events_per_window = ssim.EventsPerWindow();
-    RecordProcessGauges(obs);
-    return cell;
-  }
   const Workload workload = ScaleWorkload(nodes, /*tasks_per_node=*/8,
                                           /*seed=*/2011);
   Simulator sim;
@@ -160,14 +114,37 @@ CellResult RunCell(int nodes, PreemptionPolicy policy, bool use_index,
   return cell;
 }
 
+// Largest accepted cluster size: keeps nodes * 8 tasks well inside int.
+constexpr int kMaxNodes = 1000000;
+
+// Parse "N,M,..." into `sizes`; every entry must be an integer in
+// [1, kMaxNodes].
+bool ParseSizes(std::string_view csv, std::vector<int>* sizes) {
+  sizes->clear();
+  while (true) {
+    const size_t comma = csv.find(',');
+    int nodes = 0;
+    if (!ParseIntInRange(csv.substr(0, comma), 1, kMaxNodes, &nodes)) {
+      return false;
+    }
+    sizes->push_back(nodes);
+    if (comma == std::string_view::npos) return true;
+    csv.remove_prefix(comma + 1);
+  }
+}
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--index=on|off] [--sizes=N,M,...]\n",
+               argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // Scheduling decisions vs sweep workers are orthogonal here: cells run
   // serially so the stderr wall-clock numbers are honest.
   bool use_index = true;
-  bool batch = true;  // safe-window batching in the sharded driver
-  int shards = 0;  // 0 = legacy monolithic driver
   std::vector<int> sizes{1000, 4000, 10000};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -175,40 +152,17 @@ int main(int argc, char** argv) {
       use_index = false;
     } else if (arg == "--index=on") {
       use_index = true;
-    } else if (arg == "--batch=off") {
-      batch = false;
-    } else if (arg == "--batch=on") {
-      batch = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
-      if (shards < 0) shards = 0;
     } else if (arg.rfind("--sizes=", 0) == 0) {
-      sizes.clear();
-      const char* p = arg.c_str() + 8;
-      while (*p != '\0') {
-        sizes.push_back(std::atoi(p));
-        const char* comma = std::strchr(p, ',');
-        if (comma == nullptr) break;
-        p = comma + 1;
+      if (!ParseSizes(std::string_view(arg).substr(8), &sizes)) {
+        return Usage(argv[0]);
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--index=on|off] [--shards=N] [--batch=on|off] "
-                   "[--sizes=N,M,...]\n",
-                   argv[0]);
-      return 2;
+      return Usage(argv[0]);
     }
   }
 
-  if (shards > 0) {
-    std::printf(
-        "Scale sweep | 16-core/64-GiB nodes, 8 tasks/node, index=%s, "
-        "sharded streaming driver\n",
-        use_index ? "on" : "off");
-  } else {
-    std::printf("Scale sweep | 16-core/64-GiB nodes, 8 tasks/node, index=%s\n",
-                use_index ? "on" : "off");
-  }
+  std::printf("Scale sweep | 16-core/64-GiB nodes, 8 tasks/node, index=%s\n",
+              use_index ? "on" : "off");
   PrintHeader("Deterministic results per cell");
   std::vector<std::vector<std::string>> table{
       {"nodes", "policy", "tasks done", "preemptions", "kills", "checkpoints",
@@ -229,7 +183,7 @@ int main(int argc, char** argv) {
   for (int nodes : sizes) {
     for (const PolicyRow& row : policies) {
       Observability obs;
-      CellResult cell = RunCell(nodes, row.policy, use_index, shards, batch,
+      CellResult cell = RunCell(nodes, row.policy, use_index,
                                 obs_enabled ? &obs : nullptr);
       table.push_back(
           {std::to_string(nodes), row.name,
@@ -242,11 +196,10 @@ int main(int argc, char** argv) {
       // Timing is machine-dependent: keep it off stdout.
       std::fprintf(
           stderr,
-          "bench_scale: nodes=%d policy=%s index=%s shards=%d seconds=%.3f "
+          "bench_scale: nodes=%d policy=%s index=%s seconds=%.3f "
           "events=%lld events_per_sec=%.0f decisions=%lld "
-          "decisions_per_sec=%.0f peak_rss_bytes=%lld "
-          "barriers=%lld events_per_window=%.1f\n",
-          nodes, row.name, use_index ? "on" : "off", shards, cell.seconds,
+          "decisions_per_sec=%.0f peak_rss_bytes=%lld\n",
+          nodes, row.name, use_index ? "on" : "off", cell.seconds,
           static_cast<long long>(cell.events),
           cell.seconds > 0 ? static_cast<double>(cell.events) / cell.seconds
                            : 0.0,
@@ -254,8 +207,7 @@ int main(int argc, char** argv) {
           cell.seconds > 0
               ? static_cast<double>(cell.result.sched_decisions) / cell.seconds
               : 0.0,
-          PeakRssBytes(), static_cast<long long>(cell.barriers),
-          cell.events_per_window);
+          PeakRssBytes());
       if (obs_enabled) {
         if (!first_cell) metrics_json += ",";
         first_cell = false;

@@ -85,32 +85,21 @@ run_sweep_bench fig8 "$build_dir/bench/bench_fig8_yarn" \
 # Env: BENCH_SCALE_SIZES overrides the sweep sizes (default 1000,4000,10000).
 scale_sizes="${BENCH_SCALE_SIZES:-1000,4000,10000}"
 declare -A scale_dps
-# Parse one bench_scale stderr file into `entries`; $2 is the bench name
-# for the JSON rows ("scale" for the legacy sweep, "scale_sharded" for the
-# streaming sharded driver).
-parse_scale_stderr() {
-  local stderr_file="$1" bench="$2"
-  while read -r _ nodes policy index shards seconds events eps decisions dps rss barriers epw; do
-    nodes="${nodes#nodes=}"; policy="${policy#policy=}"
-    index="${index#index=}"; shards="${shards#shards=}"
-    seconds="${seconds#seconds=}"; events="${events#events=}"
-    eps="${eps#events_per_sec=}"; decisions="${decisions#decisions=}"
-    dps="${dps#decisions_per_sec=}"; rss="${rss#peak_rss_bytes=}"
-    barriers="${barriers#barriers=}"; epw="${epw#events_per_window=}"
-    barriers="${barriers:-0}"; epw="${epw:-0}"
-    echo "bench_perf: $bench nodes=$nodes policy=$policy index=$index" \
-         "shards=$shards seconds=$seconds events_per_sec=$eps" \
-         "decisions_per_sec=$dps peak_rss_bytes=$rss" \
-         "barriers=$barriers events_per_window=$epw"
-    entries+=("{\"bench\":\"$bench\",\"nodes\":$nodes,\"policy\":\"$policy\",\"index\":\"$index\",\"shards\":$shards,\"seconds\":$seconds,\"events\":$events,\"events_per_sec\":$eps,\"decisions\":$decisions,\"decisions_per_sec\":$dps,\"peak_rss_bytes\":$rss,\"barriers\":$barriers,\"events_per_window\":$epw}")
-    scale_dps["$index.$nodes.$policy"]="$dps"
-  done < <(grep '^bench_scale:' "$stderr_file")
-}
-
 for mode in on off; do
   "$build_dir/bench/bench_scale" "--sizes=$scale_sizes" "--index=$mode" \
     > "$obs_dir/scale.$mode.stdout.txt" 2> "$obs_dir/scale.$mode.stderr.txt"
-  parse_scale_stderr "$obs_dir/scale.$mode.stderr.txt" scale
+  while read -r _ nodes policy index seconds events eps decisions dps rss; do
+    nodes="${nodes#nodes=}"; policy="${policy#policy=}"
+    index="${index#index=}"; seconds="${seconds#seconds=}"
+    events="${events#events=}"; eps="${eps#events_per_sec=}"
+    decisions="${decisions#decisions=}"; dps="${dps#decisions_per_sec=}"
+    rss="${rss#peak_rss_bytes=}"
+    echo "bench_perf: scale nodes=$nodes policy=$policy index=$index" \
+         "seconds=$seconds events_per_sec=$eps" \
+         "decisions_per_sec=$dps peak_rss_bytes=$rss"
+    entries+=("{\"bench\":\"scale\",\"nodes\":$nodes,\"policy\":\"$policy\",\"index\":\"$index\",\"seconds\":$seconds,\"events\":$events,\"events_per_sec\":$eps,\"decisions\":$decisions,\"decisions_per_sec\":$dps,\"peak_rss_bytes\":$rss}")
+    scale_dps["$index.$nodes.$policy"]="$dps"
+  done < <(grep '^bench_scale:' "$obs_dir/scale.$mode.stderr.txt")
 done
 largest="${scale_sizes##*,}"
 for policy in kill checkpoint adaptive; do
@@ -120,49 +109,6 @@ for policy in kill checkpoint adaptive; do
   echo "bench_perf: scale_index_speedup nodes=$largest policy=$policy" \
        "decisions_per_sec_ratio=$ratio"
   entries+=("{\"bench\":\"scale_index_speedup\",\"nodes\":$largest,\"policy\":\"$policy\",\"decisions_per_sec_on\":$on,\"decisions_per_sec_off\":$off,\"ratio\":$ratio}")
-done
-
-# Sharded single-run lane: the streaming sharded driver at 40k nodes, at
-# each worker count in BENCH_PERF_SHARDS. The cells must be byte-identical
-# across reps and worker counts (check_determinism.sh enforces that), so
-# this lane only measures wall time, rates, and peak RSS — best-of-reps
-# per cell, like the wall-clock sweep lanes above.
-# Env: BENCH_SCALE_SHARD_SIZES overrides the sizes (default 40000),
-#      BENCH_PERF_SHARDS the worker counts (default "1 2").
-shard_sizes="${BENCH_SCALE_SHARD_SIZES:-40000}"
-shards_list="${BENCH_PERF_SHARDS:-1 2}"
-for shards in $shards_list; do
-  : > "$obs_dir/scale.s$shards.stderr.all.txt"
-done
-# Interleave the worker counts across reps (1,2,1,2,... not 1,1,1,2,2,2)
-# so a transient load spike perturbs both sides of the 1-vs-N comparison
-# instead of biasing whichever group it lands on.
-for ((rep = 0; rep < reps; ++rep)); do
-  for shards in $shards_list; do
-    "$build_dir/bench/bench_scale" "--sizes=$shard_sizes" "--shards=$shards" \
-      > "$obs_dir/scale.s$shards.stdout.txt" \
-      2>> "$obs_dir/scale.s$shards.stderr.all.txt"
-  done
-done
-for shards in $shards_list; do
-  # Keep, per cell, the rep with the smallest wall time.
-  python3 - "$obs_dir/scale.s$shards.stderr.all.txt" \
-    > "$obs_dir/scale.s$shards.stderr.txt" <<'EOF'
-import sys
-best, order = {}, []
-for line in open(sys.argv[1]):
-    if not line.startswith("bench_scale:"):
-        continue
-    fields = dict(f.split("=", 1) for f in line.split()[1:])
-    key = (fields["nodes"], fields["policy"], fields["index"], fields["shards"])
-    if key not in best:
-        order.append(key)
-    if key not in best or float(fields["seconds"]) < float(best[key][0]):
-        best[key] = (fields["seconds"], line)
-for key in order:
-    sys.stdout.write(best[key][1])
-EOF
-  parse_scale_stderr "$obs_dir/scale.s$shards.stderr.txt" scale_sharded
 done
 
 # Interference sweep: shared-bandwidth pools + cooperative dump scheduler +

@@ -2,11 +2,10 @@
 """Compare a fresh BENCH_PERF.json against a committed baseline.
 
 Entries are matched by their identity fields (bench plus whichever of
-jobs/effective_jobs/nodes/policy/index/shards/scenario/impl/mix the entry
-carries) and compared on
-the throughput metrics (events_per_sec, decisions_per_sec). An entry that
-regresses by more than --max-regress percent fails the gate; improvements
-and new/retired entries are reported but never fail.
+jobs/effective_jobs/nodes/policy/index/scenario/impl/mix the entry carries)
+and compared on the throughput metrics (events_per_sec, decisions_per_sec).
+An entry that regresses by more than --max-regress percent fails the gate;
+improvements and new/retired entries are reported but never fail.
 
 Usage:
   scripts/bench_perf_diff.py [--max-regress PCT] CURRENT BASELINE
@@ -27,7 +26,7 @@ import json
 import sys
 
 IDENTITY_FIELDS = ("bench", "jobs", "effective_jobs", "nodes", "policy",
-                   "index", "shards", "scenario", "impl", "mix")
+                   "index", "scenario", "impl", "mix")
 RATE_METRICS = ("events_per_sec", "decisions_per_sec")
 
 
@@ -104,20 +103,6 @@ def main():
     regressions = []
     compared = 0
     for key in sorted(common, key=fmt_key):
-        # Batching telemetry (sharded entries only): informational, never
-        # gated — a barrier-count change explains a rate change but is not
-        # itself a regression.
-        info = []
-        for field in ("barriers", "events_per_window"):
-            if field not in current[key]:
-                continue
-            if field in baseline[key]:
-                info.append(f"{field}={baseline[key][field]} -> "
-                            f"{current[key][field]}")
-            else:
-                info.append(f"{field}={current[key][field]}")
-        if info:
-            print(f"bench_perf_diff: {fmt_key(key)} [info] {', '.join(info)}")
         for metric in RATE_METRICS:
             if metric not in baseline[key] or metric not in current[key]:
                 continue

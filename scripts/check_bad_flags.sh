@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# Malformed integer flags must be rejected with the usage text and exit
+# status 2 — not silently read as 0 (atoi) or crash the run later.
+#
+# Usage: scripts/check_bad_flags.sh CKPT_SIM BENCH_SCALE
+set -uo pipefail
+
+if [[ $# -ne 2 ]]; then
+  echo "usage: $0 CKPT_SIM BENCH_SCALE" >&2
+  exit 2
+fi
+ckpt_sim="$1"
+bench_scale="$2"
+
+fail=0
+expect_usage_error() {
+  local status
+  "$@" > /dev/null 2>&1
+  status=$?
+  if [[ $status -eq 2 ]]; then
+    echo "check_bad_flags: '$*' exits 2"
+  else
+    echo "check_bad_flags: FAIL: '$*' exited $status, expected 2"
+    fail=1
+  fi
+}
+
+expect_usage_error "$ckpt_sim" --jobs=abc
+expect_usage_error "$ckpt_sim" --jobs=-5
+expect_usage_error "$ckpt_sim" --jobs=12x
+expect_usage_error "$ckpt_sim" --parallel=abc
+expect_usage_error "$ckpt_sim" --parallel=0
+expect_usage_error "$ckpt_sim" --fail-node=abc
+expect_usage_error "$ckpt_sim" --fail-node=-1
+expect_usage_error "$bench_scale" --sizes=abc
+expect_usage_error "$bench_scale" --sizes=-4
+expect_usage_error "$bench_scale" --sizes=0
+expect_usage_error "$bench_scale" --sizes=64,,128
+expect_usage_error "$bench_scale" --sizes=64,
+expect_usage_error "$bench_scale" --sizes=
+
+exit "$fail"

@@ -6,7 +6,8 @@
 #
 # A second lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
-# (scripts/check_determinism.sh) with TSan watching the workers.
+# (scripts/check_determinism.sh) with TSan watching the workers. A last
+# lane runs the benchmark harness's own tests (perfbench/test_run.py).
 #
 # Usage: scripts/ci.sh [build-dir]
 # Env:   CKPT_SANITIZE=address|undefined|thread forwards to CMake.
@@ -80,43 +81,41 @@ grep -q "kill_lost_work" "$obs_dir/diff_report.txt"
 python3 "$repo_root/scripts/bench_perf_diff.py" --check \
   "$repo_root/BENCH_PERF.json" "$repo_root/BENCH_PERF.baseline.json"
 
-# ThreadSanitizer lane: threads appear in two places — the sweep runner
-# (thread pool + per-cell merge) and the sharded single-run driver (shard
-# mailboxes drained on pool workers between barriers). Build just those
-# targets under TSan and run the threaded tests and the serial-vs-parallel
-# determinism diff.
+# ThreadSanitizer lane: threads appear only in the sweep runner (thread
+# pool + per-cell merge); every simulation run itself is single-threaded.
+# Build just the threaded targets under TSan and run the threaded tests and
+# the serial-vs-parallel determinism diff.
 if [[ "${CKPT_CI_TSAN:-1}" != "0" && -z "${CKPT_SANITIZE:-}" ]]; then
   tsan_dir="$build_dir-tsan"
   cmake -B "$tsan_dir" -S "$repo_root" -DCKPT_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$(nproc)" \
     --target test_thread_pool test_fault test_feasibility_index \
-    test_sharded_simulator test_workload_stream test_interference \
-    test_service \
+    test_interference test_service \
     bench_fig3_trace_sim bench_ext_failure bench_scale bench_interference \
     bench_services ckpt_sim_cli
   "$tsan_dir/tests/test_thread_pool"
-  # The sharded single-run driver drains shard mailboxes on pool workers;
-  # TSan watches the barrier hand-offs, outbox merges, and the parallel
-  # feasibility-flush scratch writes.
-  "$tsan_dir/tests/test_sharded_simulator"
-  "$tsan_dir/tests/test_workload_stream"
   # Fault injection draws RNG inside sweep cells; TSan watches the fault
   # tests and the parallel fault sweep for cross-cell sharing.
   "$tsan_dir/tests/test_fault"
   # The feasibility index is per-scheduler state; TSan verifies sweep cells
   # never share one (each cell's scheduler owns its index and slab arena).
   "$tsan_dir/tests/test_feasibility_index"
-  # Bandwidth pools and the dump scheduler live on the coordinator but are
-  # reached from sweep cells and shard callbacks; TSan watches the e2e
-  # interference runs (including the sharded worker-count invariance test)
-  # for cross-thread access to pool or admission state.
+  # Bandwidth pools and the dump scheduler are per-run state; TSan watches
+  # the e2e interference runs for cross-thread access to pool or admission
+  # state.
   "$tsan_dir/tests/test_interference"
-  # Service ticks and replica hooks run on the coordinator while sweep
-  # cells run on pool workers; TSan watches the service lanes in
+  # Service ticks and replica hooks run inside each cell's simulation while
+  # sweep cells run on pool workers; TSan watches the service lanes in
   # check_determinism.sh below for cross-cell manager sharing.
   "$tsan_dir/tests/test_service"
   "$repo_root/scripts/check_determinism.sh" "$tsan_dir"
   echo "ci.sh: TSan lane passed"
 fi
+
+# Benchmark harness lane: perfbench/test_run.py builds the stand-alone
+# runner under .bench_build/ and checks, at the tiny workload size, that
+# every workload reports every BENCHMARK.json metric and reproduces its
+# recorded outcome.
+(cd "$repo_root" && python3 perfbench/test_run.py)
 
 echo "ci.sh: all checks passed"

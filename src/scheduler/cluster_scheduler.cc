@@ -7,9 +7,7 @@
 #include "obs/observability.h"
 #include "service/service.h"
 #include "service/service_manager.h"
-#include "sim/sharded_simulator.h"
 #include "storage/bandwidth_domain.h"
-#include "trace/workload_stream.h"
 
 namespace ckpt {
 
@@ -19,12 +17,6 @@ struct ClusterScheduler::RtJob {
   JobSpec spec;
   int tasks_left = 0;
   SimTime finish_time = -1;
-  // Streaming submission (SubmitStream): task records are tracked so that
-  // when the job finishes its spec storage — the bulk of a run's memory —
-  // can be released and the records' spec pointers nulled (a later
-  // dereference faults loudly instead of reading freed data).
-  bool streaming = false;
-  std::vector<RtTask*> rt_tasks;
   // Index into the ServiceManager when this job is a service fleet entry
   // (SubmitServices); -1 for batch jobs.
   int service_idx = -1;
@@ -148,14 +140,6 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
       InjectNodeFailure(crash.node, crash.at, crash.down_for);
     }
   }
-  if (config_.sharded != nullptr) {
-    CKPT_CHECK(sim == config_.sharded->coordinator())
-        << "config.sharded set but sim is not its coordinator";
-    for (Node* node : cluster_->nodes()) {
-      node->storage().set_shard_channel(
-          config_.sharded->ChannelFor(node->id().value()));
-    }
-  }
   if (config_.interference.enabled) {
     if (config_.checkpoint_to_dfs && config_.interference.shared_bw > 0) {
       ingest_domain_ = std::make_unique<BandwidthDomain>(
@@ -204,39 +188,6 @@ void ClusterScheduler::Submit(const Workload& workload) {
     jobs_.push_back(std::move(job));
     sim_->ScheduleAt(jp->spec.submit_time, [this, jp] { OnJobArrival(jp); });
   }
-}
-
-void ClusterScheduler::SubmitStream(WorkloadStream* stream) {
-  CKPT_CHECK(stream != nullptr);
-  CKPT_CHECK(stream_ == nullptr) << "SubmitStream called twice";
-  stream_ = stream;
-  jobs_.reserve(static_cast<size_t>(stream->TotalJobs()));
-  stream_has_next_ = stream_->Next(&stream_next_);
-  if (stream_has_next_) {
-    sim_->ScheduleAt(stream_next_.submit_time, [this] { OnStreamArrival(); });
-  }
-}
-
-void ClusterScheduler::OnStreamArrival() {
-  CKPT_CHECK(stream_has_next_);
-  auto job = std::make_unique<RtJob>();
-  job->spec = std::move(stream_next_);
-  job->streaming = true;
-  for (const TaskSpec& spec : job->spec.tasks) {
-    CKPT_CHECK(spec.priority >= kMinPriority && spec.priority <= kMaxPriority)
-        << "task " << spec.id.value() << " priority " << spec.priority;
-  }
-  job->tasks_left = static_cast<int>(job->spec.tasks.size());
-  RtJob* jp = job.get();
-  jobs_.push_back(std::move(job));
-  // Pull the successor before dispatching this arrival: the stream's sorted
-  // contract puts it at >= now, so lookahead 1 suffices.
-  stream_has_next_ = stream_->Next(&stream_next_);
-  if (stream_has_next_) {
-    CKPT_CHECK_GE(stream_next_.submit_time, sim_->Now());
-    sim_->ScheduleAt(stream_next_.submit_time, [this] { OnStreamArrival(); });
-  }
-  OnJobArrival(jp);
 }
 
 void ClusterScheduler::SubmitServices(const std::vector<ServiceSpec>& services) {
@@ -369,11 +320,7 @@ SimDuration ClusterScheduler::VictimSloPenalty(const RtTask* victim) const {
 SimulationResult ClusterScheduler::Run() {
   {
     ScopedWallTimer run_timer(prof_run_);
-    if (config_.sharded != nullptr) {
-      config_.sharded->Run();
-    } else {
-      sim_->Run();
-    }
+    sim_->Run();
   }
   result_.total_busy_core_hours = ToHours(cluster_->TotalBusyCoreTime());
   result_.energy_kwh = cluster_->TotalEnergyKwh();
@@ -401,21 +348,7 @@ SimulationResult ClusterScheduler::Run() {
   if (config_.obs != nullptr) {
     MetricsRegistry& m = config_.obs->metrics();
     m.GetGauge("sim.events_processed")
-        ->Set(static_cast<double>(config_.sharded != nullptr
-                                      ? config_.sharded->EventsProcessed()
-                                      : sim_->EventsProcessed()));
-    if (config_.sharded != nullptr) {
-      // Safe-window density gauges: functions of the logical protocol, so
-      // identical at every worker count and with batching on or off.
-      m.GetGauge("sim.barriers")
-          ->Set(static_cast<double>(config_.sharded->Barriers()));
-      m.GetGauge("sim.messages_merged")
-          ->Set(static_cast<double>(config_.sharded->MessagesMerged()));
-      m.GetGauge("sim.windows_coalesced")
-          ->Set(static_cast<double>(config_.sharded->WindowsCoalesced()));
-      m.GetGauge("sim.events_per_window")
-          ->Set(config_.sharded->EventsPerWindow());
-    }
+        ->Set(static_cast<double>(sim_->EventsProcessed()));
     m.GetGauge("sched.busy_core_hours")->Set(result_.total_busy_core_hours);
     m.GetGauge("sched.wasted_core_hours")->Set(result_.wasted_core_hours);
     m.GetGauge("sched.lost_work_core_hours")
@@ -488,7 +421,6 @@ SimulationResult ClusterScheduler::Run() {
 // --- Arrival & scheduling ---------------------------------------------------
 
 void ClusterScheduler::OnJobArrival(RtJob* job) {
-  if (job->streaming) job->rt_tasks.reserve(job->spec.tasks.size());
   int replica = 0;
   for (const TaskSpec& spec : job->spec.tasks) {
     RtTask* task = task_arena_->New();
@@ -504,7 +436,6 @@ void ClusterScheduler::OnJobArrival(RtJob* job) {
     ++replica;
     AddPending(task);
     tasks_.push_back(task);
-    if (job->streaming) job->rt_tasks.push_back(task);
   }
   FinishJobIfDone(job);  // degenerate zero-task jobs complete immediately
   TrySchedule();
@@ -590,28 +521,6 @@ void ClusterScheduler::FlushFeasibilityIndex() {
   if (prof_index_flush_ != nullptr) ++prof_index_flush_->calls;
   index_leaves_recomputed_ +=
       static_cast<std::int64_t>(index_stale_list_.size());
-  // Big flushes (cluster-wide invalidations at scale) fan the pure
-  // per-leaf recomputation out over the sharded driver's workers; the
-  // aggregates are applied serially in stale-list order either way, so the
-  // index ends up byte-identical at every worker count.
-  constexpr size_t kParallelFlushThreshold = 2048;
-  if (config_.sharded != nullptr &&
-      index_stale_list_.size() >= kParallelFlushThreshold) {
-    flush_scratch_.resize(index_stale_list_.size());
-    config_.sharded->ParallelFor(
-        static_cast<std::int64_t>(index_stale_list_.size()),
-        [this](std::int64_t k) {
-          flush_scratch_[static_cast<size_t>(k)] =
-              ComputeNodeAgg(index_stale_list_[static_cast<size_t>(k)]);
-        });
-    for (size_t k = 0; k < index_stale_list_.size(); ++k) {
-      const size_t i = index_stale_list_[k];
-      index_leaf_stale_[i] = 0;
-      feas_index_.Update(i, flush_scratch_[k]);
-    }
-    index_stale_list_.clear();
-    return;
-  }
   for (const size_t i : index_stale_list_) {
     index_leaf_stale_[i] = 0;
     feas_index_.Update(i, ComputeNodeAgg(i));
@@ -1028,16 +937,6 @@ void ClusterScheduler::FinishJobIfDone(RtJob* job) {
     const auto band = static_cast<size_t>(BandOf(job->spec.priority));
     result_.job_response_by_band[band].Add(response);
     result_.all_job_responses.Add(response);
-  }
-  if (job->streaming) {
-    // Release the task specs — the bulk of a streaming run's memory. Spec
-    // pointers are nulled so a stale access faults instead of reading the
-    // freed vector.
-    for (RtTask* t : job->rt_tasks) t->spec = nullptr;
-    job->rt_tasks.clear();
-    job->rt_tasks.shrink_to_fit();
-    job->spec.tasks.clear();
-    job->spec.tasks.shrink_to_fit();
   }
 }
 

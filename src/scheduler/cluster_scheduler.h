@@ -39,9 +39,7 @@ class Histogram;
 class Observability;
 class ServiceManager;
 struct ServiceSpec;
-class ShardedSimulator;
 class StorageDevice;
-class WorkloadStream;
 enum class WasteCause;
 struct ServicePreemptCost;
 
@@ -150,13 +148,6 @@ struct SchedulerConfig {
 
   // Optional metrics/trace sink; not owned, null disables all recording.
   Observability* obs = nullptr;
-
-  // Optional sharded-simulation driver (not owned). When set, `sim` passed
-  // to the constructor must be its coordinator(); node storage completions
-  // are routed through per-shard mailboxes so Run() can drain device events
-  // on worker threads between barriers (see sim/sharded_simulator.h).
-  // Null keeps the monolithic event loop, byte-for-byte unchanged.
-  ShardedSimulator* sharded = nullptr;
 };
 
 struct SimulationResult {
@@ -244,22 +235,12 @@ class ClusterScheduler {
   // Register the workload's arrival events. Call once before Run().
   void Submit(const Workload& workload);
 
-  // Streaming alternative to Submit(): jobs are pulled from `stream` (not
-  // owned; must outlive Run()) one at a time — each arrival event pulls the
-  // next job, so at most one undispatched JobSpec is materialized and
-  // finished jobs release their task specs. Peak memory stays O(live tasks)
-  // instead of O(all tasks). Event ordering may differ from Submit() when a
-  // later job's arrival ties with an event scheduled before it was pulled,
-  // so a run is comparable only to other SubmitStream runs (which are
-  // deterministic at every shard count).
-  void SubmitStream(WorkloadStream* stream);
-
   // Register long-running service jobs (one replicated RtJob per spec).
   // Replicas never "complete" within the horizon — each runs until its
   // spec's end time — and carry a diurnal traffic curve whose tail latency
   // is tracked per config.service_tick. Capacity lost to preemption or
   // checkpoint freezes inflates p99 and accrues SLO-violation seconds
-  // (WasteCause::kSloViolation). Composable with Submit()/SubmitStream();
+  // (WasteCause::kSloViolation). Composable with Submit();
   // call at most once, before Run().
   void SubmitServices(const std::vector<ServiceSpec>& services);
 
@@ -285,8 +266,6 @@ class ClusterScheduler {
   };
 
   void OnJobArrival(RtJob* job);
-  // Dispatch the buffered streamed job, then pull/schedule the next one.
-  void OnStreamArrival();
   void TrySchedule();
   void RunSchedulePass();
   bool TryPlace(RtTask* task);
@@ -404,11 +383,6 @@ class ClusterScheduler {
 
   std::vector<std::unique_ptr<RtJob>> jobs_;
 
-  // Streaming submission state (SubmitStream): the source stream plus the
-  // single pulled-but-undispatched job (lookahead 1).
-  WorkloadStream* stream_ = nullptr;
-  JobSpec stream_next_;
-  bool stream_has_next_ = false;
   // Task records live in a slab arena (pointer-stable, chunk-allocated);
   // tasks_ keeps creation order for the failure-handling index iteration.
   std::unique_ptr<SlabArena<RtTask>> task_arena_;
@@ -479,10 +453,6 @@ class ClusterScheduler {
   // const decision-recording paths fill them.
   mutable std::vector<std::string> node_tracks_;
   mutable std::array<Counter*, 3> decision_counters_{};
-
-  // Scratch for the sharded parallel feasibility flush (aggregates computed
-  // on workers, applied serially in stale-list order).
-  std::vector<FeasibilityAgg> flush_scratch_;
 
   // Feasibility-index work counter (leaves recomputed by flushes); cheap
   // enough to keep always-on, exported and audited only under obs.

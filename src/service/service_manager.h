@@ -6,7 +6,7 @@
 // service. The manager never touches the simulator or the scheduler — it is
 // a pure state machine over (spec, replica states, now), so it unit-tests
 // without any scheduling machinery and stays deterministic at every worker
-// and shard count (ticks and hooks all run on the coordinator).
+// count (ticks and hooks all run on the simulator thread).
 #pragma once
 
 #include <cstdint>

@@ -82,12 +82,6 @@ std::vector<ServiceSpec> GenerateServiceFleet(
   return fleet;
 }
 
-bool ServiceFleetStream::Next(ServiceSpec* out) {
-  if (next_ >= config_.services) return false;
-  *out = MakeServiceSpec(config_, next_++);
-  return true;
-}
-
 std::vector<double> MaterializeTraffic(const ServiceSpec& spec,
                                        SimDuration tick) {
   CKPT_CHECK_GT(tick, 0);

@@ -1,11 +1,10 @@
-// Deterministic service-fleet generation, stream-compatible by design.
+// Deterministic service-fleet generation.
 //
-// Sibling of the trace layer's SnapshotStream: a fleet can be materialized
-// in one call or pulled one spec at a time, and both paths emit identical
-// specs because every spec is a pure function of (config, index) — there is
-// no sequential RNG state to diverge. The same random-access construction
-// applies to the traffic series helpers below, which back the
-// materialized-vs-streaming byte-identity tests.
+// Every spec is a pure function of (config, index) — there is no
+// sequential RNG state — so a fleet is reproducible from its config alone.
+// The same random-access construction applies to the traffic series
+// helpers below: a materialized series and a tick-by-tick cursor agree
+// exactly.
 #pragma once
 
 #include <cstdint>
@@ -54,18 +53,6 @@ ServiceSpec MakeServiceSpec(const ServiceFleetConfig& config, int index);
 
 // All `config.services` specs at once.
 std::vector<ServiceSpec> GenerateServiceFleet(const ServiceFleetConfig& config);
-
-// Streaming counterpart: pulls the same specs one at a time.
-class ServiceFleetStream {
- public:
-  explicit ServiceFleetStream(const ServiceFleetConfig& config)
-      : config_(config) {}
-  bool Next(ServiceSpec* out);
-
- private:
-  ServiceFleetConfig config_;
-  int next_ = 0;
-};
 
 // --- Traffic series ---------------------------------------------------------
 // The jittered per-tick rate series over [spec.start, spec.end), sampled at

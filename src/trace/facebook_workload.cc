@@ -6,16 +6,15 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "trace/workload_stream.h"
 
 namespace ckpt {
 namespace {
 
-// Sequential job generator behind both GenerateFacebookWorkload
-// (materialized) and StreamFacebookWorkload. Jobs 0..high_jobs-1 are the
-// periodic production bursts, the rest the low-priority batch tail; the RNG
-// draw order matches the original two-loop construction exactly (high loop
-// first, then low loop, with `tasks_left` carried across).
+// Sequential job generator behind GenerateFacebookWorkload. Jobs
+// 0..high_jobs-1 are the periodic production bursts, the rest the
+// low-priority batch tail; the RNG draw order matches the original two-loop
+// construction exactly (high loop first, then low loop, with `tasks_left`
+// carried across).
 struct FacebookJobGen {
   FacebookWorkloadConfig config;
   Rng rng;
@@ -32,7 +31,6 @@ struct FacebookJobGen {
     CKPT_CHECK_GE(config.total_jobs, 4);
   }
 
-  std::int64_t TotalJobs() const { return config.total_jobs; }
   bool Done() const { return idx >= config.total_jobs; }
 
   JobSpec Next() {
@@ -118,12 +116,6 @@ Workload GenerateFacebookWorkload(const FacebookWorkloadConfig& config) {
   }
   workload.SortBySubmitTime();
   return workload;
-}
-
-std::unique_ptr<WorkloadStream> StreamFacebookWorkload(
-    const FacebookWorkloadConfig& config) {
-  return std::make_unique<SnapshotStream<FacebookJobGen>>(
-      FacebookJobGen(config));
 }
 
 }  // namespace ckpt

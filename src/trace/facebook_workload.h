@@ -8,14 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/units.h"
 #include "trace/workload.h"
 
 namespace ckpt {
-
-class WorkloadStream;
 
 struct FacebookWorkloadConfig {
   std::uint64_t seed = 600;
@@ -38,11 +35,5 @@ struct FacebookWorkloadConfig {
 };
 
 Workload GenerateFacebookWorkload(const FacebookWorkloadConfig& config = {});
-
-// Streaming variant: identical jobs in identical order (same RNG stream,
-// same stable submit-time sort), pulled one at a time with bounded
-// lookahead memory. See trace/workload_stream.h.
-std::unique_ptr<WorkloadStream> StreamFacebookWorkload(
-    const FacebookWorkloadConfig& config = {});
 
 }  // namespace ckpt

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "trace/workload_stream.h"
 
 namespace ckpt {
 namespace {
@@ -53,16 +52,14 @@ double ArrivalAmplitude(int priority) {
   return BandOf(priority) == PriorityBand::kFree ? 0.2 : 0.9;
 }
 
-// Sequential job generator behind both GenerateWorkloadSample (materialized)
-// and StreamWorkloadSample. Single source of truth for the draw sequence, so
-// the two paths cannot drift apart.
+// Sequential job generator behind GenerateWorkloadSample: one job per
+// Next() call, in generation order (the caller sorts by submit time).
 struct SampleJobGen {
   GoogleTraceGenerator gen;  // carries only config; cheap to copy
   Rng rng;
   int j = 0;
   std::int64_t next_task = 0;
 
-  std::int64_t TotalJobs() const { return gen.config().sample_jobs; }
   bool Done() const { return j >= gen.config().sample_jobs; }
 
   JobSpec Next() {
@@ -298,11 +295,6 @@ Workload GoogleTraceGenerator::GenerateWorkloadSample() {
   }
   workload.SortBySubmitTime();
   return workload;
-}
-
-std::unique_ptr<WorkloadStream> GoogleTraceGenerator::StreamWorkloadSample() {
-  return std::make_unique<SnapshotStream<SampleJobGen>>(
-      SampleJobGen{*this, Rng(config_.seed ^ 0xABCDEF)});
 }
 
 }  // namespace ckpt

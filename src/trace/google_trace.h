@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,8 +22,6 @@
 #include "trace/workload.h"
 
 namespace ckpt {
-
-class WorkloadStream;
 
 // --- Event trace (S2 analysis input) ---------------------------------------
 
@@ -72,11 +69,6 @@ class GoogleTraceGenerator {
 
   // (b) One-day workload sample for the scheduler simulations.
   Workload GenerateWorkloadSample();
-
-  // (c) Streaming variant of (b): identical jobs in identical order
-  // (same RNG stream, same stable submit-time sort), but pulled one job at
-  // a time with bounded lookahead memory. See trace/workload_stream.h.
-  std::unique_ptr<WorkloadStream> StreamWorkloadSample();
 
   const GoogleTraceConfig& config() const { return config_; }
 

@@ -4,7 +4,6 @@
 // waste-ledger reconciliation of interference-enabled scheduler runs.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "checkpoint/dump_scheduler.h"
@@ -12,7 +11,6 @@
 #include "dfs/network.h"
 #include "obs/observability.h"
 #include "scheduler/cluster_scheduler.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "storage/bandwidth_domain.h"
 #include "trace/google_trace.h"
@@ -262,27 +260,19 @@ TEST(NetworkLoopback, SameNodeTransferCountsBytes) {
 
 // --- End to end: determinism and ledger reconciliation ---------------------
 
-SimulationResult RunInterference(int shards, Observability* obs = nullptr) {
+SimulationResult RunInterference(Observability* obs = nullptr) {
   GoogleTraceConfig trace_config;
   trace_config.sample_jobs = 80;
   trace_config.seed = 11;
   const Workload workload =
       GoogleTraceGenerator(trace_config).GenerateWorkloadSample();
 
-  std::unique_ptr<ShardedSimulator> ssim;
-  Simulator own_sim;
-  if (shards > 0) {
-    ShardedSimulator::Options opt;
-    opt.workers = shards;
-    ssim = std::make_unique<ShardedSimulator>(opt);
-  }
-  Simulator& sim = ssim != nullptr ? *ssim->coordinator() : own_sim;
+  Simulator sim;
   Cluster cluster(&sim);
   // Small on purpose: demand peaks force preemptions and dump storms.
   cluster.AddNodes(2, Resources{16.0, GiB(64)}, StorageMedium::Ssd());
 
   SchedulerConfig config;
-  config.sharded = ssim.get();
   config.policy = PreemptionPolicy::kCheckpoint;
   config.medium = StorageMedium::Ssd();
   config.obs = obs;
@@ -297,8 +287,8 @@ SimulationResult RunInterference(int shards, Observability* obs = nullptr) {
 }
 
 TEST(InterferenceEndToEnd, RunsAreReproducible) {
-  const SimulationResult a = RunInterference(/*shards=*/0);
-  const SimulationResult b = RunInterference(/*shards=*/0);
+  const SimulationResult a = RunInterference();
+  const SimulationResult b = RunInterference();
   EXPECT_GT(a.periodic_checkpoints, 0);
   EXPECT_GT(a.checkpoints, 0);
   EXPECT_DOUBLE_EQ(a.wasted_core_hours, b.wasted_core_hours);
@@ -308,23 +298,12 @@ TEST(InterferenceEndToEnd, RunsAreReproducible) {
   EXPECT_EQ(a.dump_defer_time, b.dump_defer_time);
 }
 
-TEST(InterferenceEndToEnd, ShardedRunIsWorkerCountInvariant) {
-  const SimulationResult one = RunInterference(/*shards=*/1);
-  const SimulationResult three = RunInterference(/*shards=*/3);
-  EXPECT_GT(one.periodic_checkpoints, 0);
-  EXPECT_DOUBLE_EQ(one.wasted_core_hours, three.wasted_core_hours);
-  EXPECT_EQ(one.makespan, three.makespan);
-  EXPECT_EQ(one.periodic_checkpoints, three.periodic_checkpoints);
-  EXPECT_EQ(one.dumps_deferred, three.dumps_deferred);
-  EXPECT_EQ(one.dump_defer_time, three.dump_defer_time);
-}
-
 TEST(InterferenceEndToEnd, LedgerReconcilesWithActualDurationCharging) {
   // With interference on, dump/restore overhead is charged from actual
   // elapsed freeze time; the reconciling causes must still equal the
   // scheduler's goodput gap.
   Observability obs;
-  const SimulationResult result = RunInterference(/*shards=*/0, &obs);
+  const SimulationResult result = RunInterference(&obs);
   ASSERT_GT(result.wasted_core_hours, 0);
   EXPECT_NEAR(obs.waste().ReconcilableCoreHours(), result.wasted_core_hours,
               0.01 * result.wasted_core_hours);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "trace/facebook_workload.h"
 #include "trace/google_trace.h"
 
@@ -31,6 +35,49 @@ TEST(Workload, SortBySubmitTimeIsStable) {
   }
 }
 
+bool SortedBySubmitTime(const Workload& w) {
+  return std::is_sorted(w.jobs.begin(), w.jobs.end(),
+                        [](const JobSpec& a, const JobSpec& b) {
+                          return a.submit_time < b.submit_time;
+                        });
+}
+
+// Every task carries its job's id, and no task id repeats in the workload.
+void ExpectTasksOwnedByTheirJobsWithUniqueIds(const Workload& w) {
+  std::set<std::int64_t> task_ids;
+  for (const JobSpec& job : w.jobs) {
+    for (const TaskSpec& task : job.tasks) {
+      EXPECT_EQ(task.job.value(), job.id.value());
+      EXPECT_TRUE(task_ids.insert(task.id.value()).second)
+          << "duplicate task id " << task.id.value();
+    }
+  }
+  EXPECT_EQ(static_cast<std::int64_t>(task_ids.size()), w.TotalTasks());
+}
+
+// Field-by-field equality; doubles must match bit for bit.
+void ExpectWorkloadEq(const Workload& a, const Workload& b) {
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (size_t j = 0; j < a.jobs.size(); ++j) {
+    SCOPED_TRACE("job " + std::to_string(j));
+    EXPECT_EQ(a.jobs[j].id.value(), b.jobs[j].id.value());
+    EXPECT_EQ(a.jobs[j].submit_time, b.jobs[j].submit_time);
+    EXPECT_EQ(a.jobs[j].priority, b.jobs[j].priority);
+    ASSERT_EQ(a.jobs[j].tasks.size(), b.jobs[j].tasks.size());
+    for (size_t t = 0; t < a.jobs[j].tasks.size(); ++t) {
+      const TaskSpec& x = a.jobs[j].tasks[t];
+      const TaskSpec& y = b.jobs[j].tasks[t];
+      EXPECT_EQ(x.id.value(), y.id.value());
+      EXPECT_EQ(x.duration, y.duration);
+      EXPECT_EQ(x.demand.cpus, y.demand.cpus);
+      EXPECT_EQ(x.demand.memory, y.demand.memory);
+      EXPECT_EQ(x.priority, y.priority);
+      EXPECT_EQ(x.latency_class, y.latency_class);
+      EXPECT_EQ(x.memory_write_rate, y.memory_write_rate);
+    }
+  }
+}
+
 class GoogleSampleTest : public ::testing::Test {
  protected:
   static Workload& workload() {
@@ -45,6 +92,10 @@ class GoogleSampleTest : public ::testing::Test {
 
 TEST_F(GoogleSampleTest, JobCountMatchesConfig) {
   EXPECT_EQ(workload().jobs.size(), 3000u);
+}
+
+TEST_F(GoogleSampleTest, JobsAreSortedBySubmitTime) {
+  EXPECT_TRUE(SortedBySubmitTime(workload()));
 }
 
 TEST_F(GoogleSampleTest, TasksPerJobIsHeavyTailed) {
@@ -120,6 +171,26 @@ TEST_F(GoogleSampleTest, DeterministicForSeed) {
   }
 }
 
+TEST_F(GoogleSampleTest, TaskIdsAreUniqueAndOwnedByTheirJob) {
+  ExpectTasksOwnedByTheirJobsWithUniqueIds(workload());
+}
+
+TEST_F(GoogleSampleTest, SeedChangesTheSample) {
+  GoogleTraceConfig config;
+  config.sample_jobs = 100;
+  config.seed = 77;
+  const Workload a = GoogleTraceGenerator(config).GenerateWorkloadSample();
+  config.seed = 78;
+  const Workload b = GoogleTraceGenerator(config).GenerateWorkloadSample();
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  bool differs = false;
+  for (size_t i = 0; i < a.jobs.size() && !differs; ++i) {
+    differs = a.jobs[i].submit_time != b.jobs[i].submit_time ||
+              a.jobs[i].tasks.size() != b.jobs[i].tasks.size();
+  }
+  EXPECT_TRUE(differs);
+}
+
 TEST(FacebookWorkload, ShapeMatchesPaperSetup) {
   FacebookWorkloadConfig config;
   const Workload w = GenerateFacebookWorkload(config);
@@ -149,6 +220,23 @@ TEST(FacebookWorkload, ShapeMatchesPaperSetup) {
   // S5.3.3: "there is a production job that is larger than the capacity of
   // the cluster".
   EXPECT_TRUE(oversized_production_job);
+}
+
+TEST(FacebookWorkload, JobsAreSortedBySubmitTime) {
+  EXPECT_TRUE(SortedBySubmitTime(GenerateFacebookWorkload({})));
+}
+
+TEST(FacebookWorkload, DeterministicForSeed) {
+  FacebookWorkloadConfig config;
+  config.total_jobs = 48;
+  config.total_tasks = 5000;
+  config.seed = 19;
+  ExpectWorkloadEq(GenerateFacebookWorkload(config),
+                   GenerateFacebookWorkload(config));
+}
+
+TEST(FacebookWorkload, TaskIdsAreUniqueAndOwnedByTheirJob) {
+  ExpectTasksOwnedByTheirJobsWithUniqueIds(GenerateFacebookWorkload({}));
 }
 
 TEST(FacebookWorkload, ProductionJobsArrivePeriodically) {

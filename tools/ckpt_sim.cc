@@ -17,14 +17,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/parse_int.h"
 #include "common/thread_pool.h"
 #include "obs/observability.h"
 #include "scheduler/cluster_scheduler.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "trace/google_trace.h"
 
@@ -79,14 +80,6 @@ struct Flags {
   std::string sweep_media;
   std::string sweep_seeds;
   int parallel = 1;
-
-  // Single-run mode: drive the run through the deterministic sharded
-  // simulator with this many worker threads (0 = monolithic event loop).
-  // Output is byte-identical for every value >= 1.
-  int shards = 0;
-  // Amortized safe-window batching in the sharded driver (on by default;
-  // off runs the reference round machinery — byte-identical either way).
-  bool batch = true;
 };
 
 void Usage(const char* argv0) {
@@ -117,13 +110,7 @@ void Usage(const char* argv0) {
       "  --sweep-seeds=N,M,..      flag); reports print in cell order\n"
       "  --parallel=N      worker threads for sweep cells (default 1),\n"
       "                    clamped to the core count unless\n"
-      "                    CKPT_SWEEP_NO_CLAMP is set\n"
-      "  --shards=N        single-run mode: drain device events on N worker\n"
-      "                    threads via the deterministic sharded driver\n"
-      "                    (0 = monolithic; any N >= 1 is byte-identical)\n"
-      "  --batch=on|off    amortized safe-window batching in the sharded\n"
-      "                    driver (default on; off is the reference round\n"
-      "                    machinery — output is byte-identical either way)\n",
+      "                    CKPT_SWEEP_NO_CLAMP is set\n",
       argv0);
 }
 
@@ -133,6 +120,16 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     *out = arg + len + 1;
     return true;
   }
+  return false;
+}
+
+// Strict integer flag value: the whole value must be an integer in
+// [lo, hi]; otherwise report it and fail.
+bool ParseIntFlag(const char* name, const std::string& value, int lo, int hi,
+                  int* out) {
+  if (ParseIntInRange(value, lo, hi, out)) return true;
+  std::fprintf(stderr, "bad %s value: %s (expected an integer in [%d, %d])\n",
+               name, value.c_str(), lo, hi);
   return false;
 }
 
@@ -150,7 +147,9 @@ bool Parse(int argc, char** argv, Flags* flags) {
       continue;
     }
     if (ParseFlag(arg, "--jobs", &value)) {
-      flags->jobs = std::atoi(value.c_str());
+      if (!ParseIntFlag("--jobs", value, 1, 1000000, &flags->jobs)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "--util", &value)) {
       flags->util = std::atof(value.c_str());
     } else if (ParseFlag(arg, "--threshold", &value)) {
@@ -160,18 +159,14 @@ bool Parse(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(arg, "--seed", &value)) {
       flags->seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "--parallel", &value)) {
-      flags->parallel = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "--shards", &value)) {
-      flags->shards = std::atoi(value.c_str());
-      if (flags->shards < 0) flags->shards = 0;
-    } else if (ParseFlag(arg, "--batch", &value)) {
-      if (value != "on" && value != "off") {
-        std::fprintf(stderr, "bad --batch value: %s\n", value.c_str());
+      if (!ParseIntFlag("--parallel", value, 1, 1024, &flags->parallel)) {
         return false;
       }
-      flags->batch = value == "on";
     } else if (ParseFlag(arg, "--fail-node", &value)) {
-      flags->fail_node = std::atoi(value.c_str());
+      if (!ParseIntFlag("--fail-node", value, 0,
+                        std::numeric_limits<int>::max(), &flags->fail_node)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "--fail-at", &value)) {
       flags->fail_at_min = std::atof(value.c_str());
     } else if (ParseFlag(arg, "--fail-down", &value)) {
@@ -286,19 +281,7 @@ std::string RunCell(const Flags& flags, SchedulerConfig config,
       1, static_cast<int>(core_seconds / ToSeconds(kDay) /
                           (flags.util * cores_per_node) + 0.999));
 
-  // With --shards=N the run goes through the deterministic sharded driver
-  // (worker count N changes wall-clock only, never output); the workload
-  // stays materialized — cluster sizing above already walked every task.
-  std::unique_ptr<ShardedSimulator> ssim;
-  if (flags.shards > 0) {
-    ShardedSimulator::Options opt;
-    opt.workers = flags.shards;
-    opt.batch_windows = flags.batch;
-    ssim = std::make_unique<ShardedSimulator>(opt);
-    config.sharded = ssim.get();
-  }
-  Simulator own_sim;
-  Simulator& sim = ssim != nullptr ? *ssim->coordinator() : own_sim;
+  Simulator sim;
   Cluster cluster(&sim);
   cluster.AddNodes(nodes, Resources{cores_per_node, GiB(64)}, config.medium);
   ClusterScheduler scheduler(&sim, &cluster, config);
