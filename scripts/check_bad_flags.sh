@@ -2,15 +2,16 @@
 # Malformed integer flags must be rejected with the usage text and exit
 # status 2 — not silently read as 0 (atoi) or crash the run later.
 #
-# Usage: scripts/check_bad_flags.sh CKPT_SIM BENCH_SCALE
+# Usage: scripts/check_bad_flags.sh CKPT_SIM BENCH_SCALE YARN_SIM
 set -uo pipefail
 
-if [[ $# -ne 2 ]]; then
-  echo "usage: $0 CKPT_SIM BENCH_SCALE" >&2
+if [[ $# -ne 3 ]]; then
+  echo "usage: $0 CKPT_SIM BENCH_SCALE YARN_SIM" >&2
   exit 2
 fi
 ckpt_sim="$1"
 bench_scale="$2"
+yarn_sim="$3"
 
 fail=0
 expect_usage_error() {
@@ -38,5 +39,15 @@ expect_usage_error "$bench_scale" --sizes=0
 expect_usage_error "$bench_scale" --sizes=64,,128
 expect_usage_error "$bench_scale" --sizes=64,
 expect_usage_error "$bench_scale" --sizes=
+expect_usage_error "$yarn_sim" --jobs=abc
+expect_usage_error "$yarn_sim" --jobs=-5
+expect_usage_error "$yarn_sim" --jobs=3
+expect_usage_error "$yarn_sim" --tasks=12x
+expect_usage_error "$yarn_sim" --tasks=0
+expect_usage_error "$yarn_sim" --nodes=0
+expect_usage_error "$yarn_sim" --nodes=
+expect_usage_error "$yarn_sim" --containers=abc
+expect_usage_error "$yarn_sim" --containers=0
+expect_usage_error "$yarn_sim" --rack-size=-1
 
 exit "$fail"

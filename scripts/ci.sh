@@ -32,6 +32,10 @@ obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
 CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$build_dir/bench/bench_fig8_yarn" 600 \
   > "$obs_dir/stdout.txt"
+# Observability must not perturb the simulation: stdout is byte-identical
+# with obs on and off.
+"$build_dir/bench/bench_fig8_yarn" 600 > "$obs_dir/stdout_no_obs.txt"
+cmp "$obs_dir/stdout.txt" "$obs_dir/stdout_no_obs.txt"
 
 # Every policy row must carry Algorithm-1 decision instants; the checkpoint
 # rows must additionally contain dump spans (the Kill row never dumps).
@@ -52,6 +56,8 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
 # waste ledger reconciles with the goodput gap (no MISMATCH marker).
 CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$build_dir/bench/bench_fig3_trace_sim" 300 \
   > "$obs_dir/fig3_stdout.txt"
+"$build_dir/bench/bench_fig3_trace_sim" 300 > "$obs_dir/fig3_stdout_no_obs.txt"
+cmp "$obs_dir/fig3_stdout.txt" "$obs_dir/fig3_stdout_no_obs.txt"
 python3 "$repo_root/scripts/check_trace.py" --require preempt_scan \
   "$obs_dir"/bench_fig3_trace_sim.*.audit.jsonl
 "$build_dir/tools/ckpt-report" \

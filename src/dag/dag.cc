@@ -5,6 +5,7 @@
 #include "cluster/cluster.h"
 #include "common/logging.h"
 #include "dfs/dfs.h"
+#include "yarn/app_master.h"
 #include "yarn/node_manager.h"
 
 namespace ckpt {
@@ -370,36 +371,22 @@ SimDuration DagAm::InputRefetchCost(const TaskRt* task) const {
 void DagAm::HandlePreempt(TaskRt* task) {
   const bool can_increment =
       config_.incremental_checkpoints && task->proc->has_image;
-  switch (config_.policy) {
-    case PreemptionPolicy::kWait:
-      CKPT_CHECK(false) << "wait policy never sends preempt events";
-      return;
-    case PreemptionPolicy::kKill:
-      KillTask(task);
-      return;
-    case PreemptionPolicy::kCheckpoint:
-      CheckpointTask(task, can_increment);
-      return;
-    case PreemptionPolicy::kAdaptive: {
-      TouchDirtyPages(task);
-      const NodeId node = task->container.node;
-      // Killing forfeits the fetched inputs as well as the compute
-      // progress: both go on the at-stake side of Algorithm 1.
-      const SimDuration at_stake =
-          UnsavedProgress(task) + InputRefetchCost(task);
-      const SimDuration overhead =
-          rm_->DumpQueueDelay(node) +
-          engine_->EstimateDumpService(*task->proc, node, can_increment) +
-          engine_->EstimateRestore(*task->proc, node, /*local=*/true);
-      const PreemptAction action = DecidePreemption(
-          at_stake, overhead, can_increment, config_.adaptive_threshold);
-      if (action == PreemptAction::kKill) {
-        KillTask(task);
-      } else {
-        CheckpointTask(task, action == PreemptAction::kCheckpointIncremental);
-      }
-      return;
-    }
+  const PreemptAction action =
+      ChoosePreemptAction(config_.policy, can_increment, [&] {
+        TouchDirtyPages(task);
+        // Killing forfeits the fetched inputs as well as the compute
+        // progress: both go on the at-stake side of Algorithm 1.
+        const SimDuration at_stake =
+            UnsavedProgress(task) + InputRefetchCost(task);
+        const PreemptOverheadTerms terms = EstimatePreemptOverhead(
+            *rm_, *engine_, *task->proc, task->container.node, can_increment);
+        return DecidePreemption(at_stake, terms.total(), can_increment,
+                                config_.adaptive_threshold);
+      });
+  if (action == PreemptAction::kKill) {
+    KillTask(task);
+  } else {
+    CheckpointTask(task, action == PreemptAction::kCheckpointIncremental);
   }
 }
 

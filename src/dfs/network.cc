@@ -58,12 +58,16 @@ void NetworkModel::StartDomainChain(NodeId src, NodeId dst, Bytes size,
   chain->stages = std::move(stages);
   chain->done = std::move(done);
   auto step = std::make_shared<std::function<void(size_t)>>();
-  *step = [this, size, latency, chain, step](size_t i) {
+  // The step refers to itself only weakly: the in-flight stage's completion
+  // callback owns it, so the chain is freed once its last stage drains.
+  *step = [this, size, latency, chain,
+           weak = std::weak_ptr<std::function<void(size_t)>>(step)](size_t i) {
     if (i >= chain->stages.size()) {
       sim_->ScheduleAt(sim_->Now() + latency, std::move(chain->done));
       return;
     }
-    chain->stages[i]->StartFlow(size, [step, i] { (*step)(i + 1); });
+    chain->stages[i]->StartFlow(size,
+                                [step = weak.lock(), i] { (*step)(i + 1); });
   };
   (*step)(0);
 }

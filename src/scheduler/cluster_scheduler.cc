@@ -712,17 +712,7 @@ void ClusterScheduler::StartTask(RtTask* task, Node* node) {
   // first start joins warm; any later StartTask means the process state was
   // lost (kill, crash, abandoned image) and the restart is cold.
   ServiceReplicaUp(task, /*cold=*/task->attempt > 1);
-
-  // A service replica completes at its absolute retirement instant; a batch
-  // task after its remaining work.
-  SimDuration remaining = IsService(task)
-                              ? task->service_end - sim_->Now()
-                              : task->spec->duration - task->work_done;
-  if (remaining < 1) remaining = 1;
-  const int attempt = task->attempt;
-  sim_->ScheduleAfter(remaining,
-                      [this, task, attempt] { OnTaskComplete(task, attempt); });
-  MaybeSchedulePeriodicDump(task);
+  ScheduleCompletion(task);
 }
 
 void ClusterScheduler::BeginRestore(RtTask* task, Node* node, bool remote) {
@@ -805,16 +795,9 @@ void ClusterScheduler::OnRestoreFailed(RtTask* task) {
   result_.restore_failures++;
   task->restore_failures++;
   task->attempt++;
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    // The failed attempt still froze the container for its real duration.
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_restore_time += held;
-    result_.overhead_core_hours += ToHours(held) * task->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * task->spec->demand.cpus;
-    ChargeWaste(WasteCause::kRestoreTransfer,
-                ToHours(held) * task->spec->demand.cpus, task);
-    task->frozen_at = -1;
-  }
+  // The failed attempt still froze the container for its real duration.
+  ChargeFrozenSpan(task, &result_.total_restore_time,
+                   WasteCause::kRestoreTransfer);
   cluster_->node(task->node).ReleaseSuspended(task->spec->demand);
   TouchNode(task->node);
   BumpOverheadEpoch();
@@ -842,17 +825,8 @@ void ClusterScheduler::OnRestoreFailed(RtTask* task) {
 
 void ClusterScheduler::OnRestoreDone(RtTask* task, int attempt) {
   CKPT_CHECK_EQ(task->attempt, attempt);
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    // Single reconciling charge covering the real queue + service + shared
-    // domain drain time the container spent frozen.
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_restore_time += held;
-    result_.overhead_core_hours += ToHours(held) * task->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * task->spec->demand.cpus;
-    ChargeWaste(WasteCause::kRestoreTransfer,
-                ToHours(held) * task->spec->demand.cpus, task);
-    task->frozen_at = -1;
-  }
+  ChargeFrozenSpan(task, &result_.total_restore_time,
+                   WasteCause::kRestoreTransfer);
   cluster_->node(task->node).Resume(task->spec->demand);
   // Available() is unchanged, but the task re-enters kRunning and so grows
   // the node's releasable set: its feasibility-index leaf must refresh.
@@ -865,16 +839,7 @@ void ClusterScheduler::OnRestoreDone(RtTask* task, int attempt) {
   // Checkpoint-resumed service replicas come back warm — the asymmetry the
   // SLO-aware kill-vs-checkpoint decision trades on.
   ServiceReplicaUp(task, /*cold=*/false);
-
-  SimDuration remaining = IsService(task)
-                              ? task->service_end - sim_->Now()
-                              : task->spec->duration - task->work_done;
-  if (remaining < 1) remaining = 1;
-  const int next_attempt = task->attempt;
-  sim_->ScheduleAfter(remaining, [this, task, next_attempt] {
-    OnTaskComplete(task, next_attempt);
-  });
-  MaybeSchedulePeriodicDump(task);
+  ScheduleCompletion(task);
 }
 
 void ClusterScheduler::StopRunning(RtTask* task) {
@@ -886,6 +851,30 @@ void ClusterScheduler::StopRunning(RtTask* task) {
   // Every exit from kRunning (preempt, dump freeze, crash, retirement)
   // takes the replica's capacity out of the latency model.
   ServiceReplicaDown(task);
+}
+
+SimDuration ClusterScheduler::RemainingRun(const RtTask* task) const {
+  return IsService(task) ? task->service_end - sim_->Now()
+                         : task->spec->duration - task->work_done;
+}
+
+void ClusterScheduler::ScheduleCompletion(RtTask* task) {
+  const SimDuration remaining = std::max<SimDuration>(RemainingRun(task), 1);
+  const int attempt = task->attempt;
+  sim_->ScheduleAfter(remaining,
+                      [this, task, attempt] { OnTaskComplete(task, attempt); });
+  MaybeSchedulePeriodicDump(task);
+}
+
+void ClusterScheduler::ForfeitUnsavedWork(RtTask* task, WasteCause cause) {
+  const SimDuration lost =
+      IsService(task) ? 0 : task->work_done - task->saved_work;
+  const double core_hours = ToHours(lost) * task->spec->demand.cpus;
+  result_.lost_work_core_hours += core_hours;
+  result_.wasted_core_hours += core_hours;
+  ChargeWaste(cause, core_hours, task);
+  task->work_done = task->saved_work;
+  task->unsynced_run = 0;
 }
 
 void ClusterScheduler::DetachFromNode(RtTask* task) {
@@ -1029,43 +1018,20 @@ SimDuration ClusterScheduler::VictimCheckpointOverhead(
 
 PreemptAction ClusterScheduler::DecideVictimAction(RtTask* victim) const {
   const bool can_increment = CanIncrement(victim);
-  switch (config_.policy) {
-    case PreemptionPolicy::kWait:
-      CKPT_CHECK(false) << "wait policy never preempts";
-      return PreemptAction::kKill;
-    case PreemptionPolicy::kKill:
-      return PreemptAction::kKill;
-    case PreemptionPolicy::kCheckpoint:
-      return can_increment ? PreemptAction::kCheckpointIncremental
-                           : PreemptAction::kCheckpointFull;
-    case PreemptionPolicy::kAdaptive:
-      // Service replicas have no unsaved batch progress to weigh; their
-      // Algorithm 1 branch compares kill's SLO damage (downtime + cold
-      // warmup) against the checkpoint's (freeze at current load, plus the
-      // frozen-core overhead): troughs kill, peaks checkpoint.
-      if (IsService(victim)) {
-        return DecideServicePreemption(ServiceVictimCost(victim),
-                                       can_increment,
-                                       config_.adaptive_threshold);
-      }
-      return DecidePreemption(UnsavedProgress(victim),
-                              VictimCheckpointOverhead(victim), can_increment,
-                              config_.adaptive_threshold);
-  }
-  return PreemptAction::kKill;
+  return ChoosePreemptAction(config_.policy, can_increment, [&] {
+    // Service replicas have no unsaved batch progress to weigh; their
+    // Algorithm 1 branch compares kill's SLO damage (downtime + cold
+    // warmup) against the checkpoint's (freeze at current load, plus the
+    // frozen-core overhead): troughs kill, peaks checkpoint.
+    if (IsService(victim)) {
+      return DecideServicePreemption(ServiceVictimCost(victim), can_increment,
+                                     config_.adaptive_threshold);
+    }
+    return DecidePreemption(UnsavedProgress(victim),
+                            VictimCheckpointOverhead(victim), can_increment,
+                            config_.adaptive_threshold);
+  });
 }
-
-namespace {
-const char* ActionName(PreemptAction action) {
-  switch (action) {
-    case PreemptAction::kKill: return "kill";
-    case PreemptAction::kCheckpointFull: return "checkpoint_full";
-    case PreemptAction::kCheckpointIncremental:
-      return "checkpoint_incremental";
-  }
-  return "unknown";
-}
-}  // namespace
 
 void ClusterScheduler::ChargeWaste(WasteCause cause, double amount,
                                    const RtTask* task) {
@@ -1410,22 +1376,16 @@ void ClusterScheduler::KillVictim(RtTask* victim) {
   // from its last image if one exists (Algorithm 2), else from scratch.
   // A service replica loses no batch work — its kill cost is SLO-violation
   // seconds plus the cold restart, accounted by the ServiceManager — so
-  // charging zero here keeps the ledger's reconciliation invariant intact.
-  const SimDuration lost =
-      IsService(victim) ? 0 : victim->work_done - victim->saved_work;
-  result_.lost_work_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  result_.wasted_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  ChargeWaste(WasteCause::kKillLostWork,
-              ToHours(lost) * victim->spec->demand.cpus, victim);
+  // ForfeitUnsavedWork charges it zero and the ledger still reconciles.
   result_.kills++;
   // A killed service replica's process state is gone; any earlier image is
   // stale, so release it — the next start is cold. Checkpoint preemption
   // keeping its image (and resuming warm) is exactly the benefit the
-  // service branch of Algorithm 1 weighs.
+  // service branch of Algorithm 1 weighs. The release zeroes saved_work, so
+  // it must precede the forfeit's rollback to it.
   if (IsService(victim)) ReleaseImage(victim);
   if (!victim->has_image) result_.restarts_from_scratch++;
-  victim->work_done = victim->saved_work;
-  victim->unsynced_run = 0;
+  ForfeitUnsavedWork(victim, WasteCause::kKillLostWork);
   DetachFromNode(victim);
   ApplyResubmitBackoff(victim);
   AddPending(victim);
@@ -1637,18 +1597,7 @@ void ClusterScheduler::OnDumpComplete(RtTask* victim, int attempt,
       victim->state != RtTask::State::kDumping) {
     return;
   }
-  if (InterferenceOn() && victim->frozen_at >= 0) {
-    // Single reconciling charge covering everything the freeze actually
-    // cost: admission deferral, device queue + service, and the shared
-    // ingest/network drain under contention.
-    const SimDuration held = sim_->Now() - victim->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    ChargeWaste(WasteCause::kDumpOverhead,
-                ToHours(held) * victim->spec->demand.cpus, victim);
-    victim->frozen_at = -1;
-  }
+  ChargeFrozenSpan(victim, &result_.total_dump_time, WasteCause::kDumpOverhead);
   UnindexPendingDump(victim);
   victim->saved_work = victim->work_done;
   victim->unsynced_run = 0;
@@ -1671,12 +1620,7 @@ void ClusterScheduler::OnDumpComplete(RtTask* victim, int attempt,
   ApplyResubmitBackoff(victim);
   AddPending(victim);
 
-  auto it = dump_beneficiary_.find(victim);
-  if (it != dump_beneficiary_.end()) {
-    it->second->releases_in_flight--;
-    CKPT_CHECK_GE(it->second->releases_in_flight, 0);
-    dump_beneficiary_.erase(it);
-  }
+  ReleaseBeneficiary(victim);
   TrySchedule();
 }
 
@@ -1692,31 +1636,10 @@ void ClusterScheduler::OnDumpFailed(RtTask* victim, int attempt) {
   result_.dump_failures++;
   victim->dump_failures++;
   victim->attempt++;
-  if (InterferenceOn() && victim->frozen_at >= 0) {
-    // The failed attempt still froze the victim for its real duration.
-    const SimDuration held = sim_->Now() - victim->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    ChargeWaste(WasteCause::kDumpOverhead,
-                ToHours(held) * victim->spec->demand.cpus, victim);
-    victim->frozen_at = -1;
-  }
-  UnindexPendingDump(victim);
-  if (config_.enforce_checkpoint_capacity && victim->pending_dump_bytes > 0) {
-    cluster_->node(victim->pending_dump_node)
-        .storage()
-        .Release(victim->pending_dump_bytes);
-  }
-  victim->pending_dump_bytes = 0;
-  const SimDuration lost =
-      IsService(victim) ? 0 : victim->work_done - victim->saved_work;
-  result_.lost_work_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  result_.wasted_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  ChargeWaste(WasteCause::kFaultLostWork,
-              ToHours(lost) * victim->spec->demand.cpus, victim);
-  victim->work_done = victim->saved_work;
-  victim->unsynced_run = 0;
+  // The failed attempt still froze the victim for its real duration.
+  ChargeFrozenSpan(victim, &result_.total_dump_time, WasteCause::kDumpOverhead);
+  UnwindPendingDump(victim);
+  ForfeitUnsavedWork(victim, WasteCause::kFaultLostWork);
   BumpOverheadEpoch();
   cluster_->node(victim->node).ReleaseSuspended(victim->spec->demand);
   TouchNode(victim->node);
@@ -1724,12 +1647,7 @@ void ClusterScheduler::OnDumpFailed(RtTask* victim, int attempt) {
   bucket.erase(std::find(bucket.begin(), bucket.end(), victim));
   ApplyResubmitBackoff(victim);
   AddPending(victim);
-  auto it = dump_beneficiary_.find(victim);
-  if (it != dump_beneficiary_.end()) {
-    it->second->releases_in_flight--;
-    CKPT_CHECK_GE(it->second->releases_in_flight, 0);
-    dump_beneficiary_.erase(it);
-  }
+  ReleaseBeneficiary(victim);
   TrySchedule();
 }
 
@@ -1739,6 +1657,36 @@ void ClusterScheduler::ReleaseDumpTicket(RtTask* task) {
   }
   task->dump_ticket = -1;
   task->periodic_dump = false;
+  task->frozen_at = -1;
+}
+
+void ClusterScheduler::UnwindPendingDump(RtTask* task) {
+  UnindexPendingDump(task);
+  if (config_.enforce_checkpoint_capacity && task->pending_dump_bytes > 0) {
+    cluster_->node(task->pending_dump_node)
+        .storage()
+        .Release(task->pending_dump_bytes);
+  }
+  task->pending_dump_bytes = 0;
+}
+
+void ClusterScheduler::ReleaseBeneficiary(RtTask* victim) {
+  auto it = dump_beneficiary_.find(victim);
+  if (it == dump_beneficiary_.end()) return;
+  it->second->releases_in_flight--;
+  CKPT_CHECK_GE(it->second->releases_in_flight, 0);
+  dump_beneficiary_.erase(it);
+}
+
+void ClusterScheduler::ChargeFrozenSpan(RtTask* task, SimDuration* total,
+                                        WasteCause cause) {
+  if (!InterferenceOn() || task->frozen_at < 0) return;
+  const SimDuration held = sim_->Now() - task->frozen_at;
+  const double core_hours = ToHours(held) * task->spec->demand.cpus;
+  *total += held;
+  result_.overhead_core_hours += core_hours;
+  result_.wasted_core_hours += core_hours;
+  ChargeWaste(cause, core_hours, task);
   task->frozen_at = -1;
 }
 
@@ -1754,10 +1702,7 @@ void ClusterScheduler::MaybeSchedulePeriodicDump(RtTask* task) {
   const SimDuration interval =
       std::max(YoungDalyInterval(cost, config_.periodic_ckpt_mtbf),
                config_.periodic_ckpt_min_interval);
-  const SimDuration remaining = IsService(task)
-                                    ? task->service_end - sim_->Now()
-                                    : task->spec->duration - task->work_done;
-  if (remaining <= interval) return;  // completion beats the next dump
+  if (RemainingRun(task) <= interval) return;  // completion beats the dump
   const int attempt = task->attempt;
   sim_->ScheduleAfter(interval, [this, task, attempt] {
     if (task->attempt != attempt || task->state != RtTask::State::kRunning) {
@@ -1835,16 +1780,8 @@ void ClusterScheduler::OnPeriodicDumpComplete(RtTask* task, int attempt,
       !task->periodic_dump) {
     return;  // a node failure already unwound this dump
   }
-  const double cpus = task->spec->demand.cpus;
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * cpus;
-    result_.wasted_core_hours += ToHours(held) * cpus;
-    ChargeWaste(WasteCause::kPeriodicDumpOverhead, ToHours(held) * cpus,
-                task);
-    task->frozen_at = -1;
-  }
+  ChargeFrozenSpan(task, &result_.total_dump_time,
+                   WasteCause::kPeriodicDumpOverhead);
   UnindexPendingDump(task);
   task->saved_work = task->work_done;
   task->unsynced_run = 0;
@@ -1869,24 +1806,10 @@ void ClusterScheduler::OnPeriodicDumpFailed(RtTask* task, int attempt,
   result_.dump_failures++;
   result_.periodic_checkpoint_failures++;
   task->dump_failures++;
-  const double cpus = task->spec->demand.cpus;
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    // The failed attempt still froze the task for its real duration.
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * cpus;
-    result_.wasted_core_hours += ToHours(held) * cpus;
-    ChargeWaste(WasteCause::kPeriodicDumpOverhead, ToHours(held) * cpus,
-                task);
-    task->frozen_at = -1;
-  }
-  UnindexPendingDump(task);
-  if (config_.enforce_checkpoint_capacity && task->pending_dump_bytes > 0) {
-    cluster_->node(task->pending_dump_node)
-        .storage()
-        .Release(task->pending_dump_bytes);
-  }
-  task->pending_dump_bytes = 0;
+  // The failed attempt still froze the task for its real duration.
+  ChargeFrozenSpan(task, &result_.total_dump_time,
+                   WasteCause::kPeriodicDumpOverhead);
+  UnwindPendingDump(task);
   // No live work is lost: the task resumes in place from its running state.
   // A failed *full* dump did retire the previous image at freeze time, so
   // the crash-restart exposure grows until the next successful dump.
@@ -1906,14 +1829,7 @@ void ClusterScheduler::ResumeAfterPeriodicDump(RtTask* task) {
   // The dump captured live process state; the replica resumes warm.
   ServiceReplicaUp(task, /*cold=*/false);
   BumpOverheadEpoch();
-  SimDuration remaining = IsService(task)
-                              ? task->service_end - sim_->Now()
-                              : task->spec->duration - task->work_done;
-  if (remaining < 1) remaining = 1;
-  const int attempt = task->attempt;
-  sim_->ScheduleAfter(remaining,
-                      [this, task, attempt] { OnTaskComplete(task, attempt); });
-  MaybeSchedulePeriodicDump(task);
+  ScheduleCompletion(task);
 }
 
 // --- Failure injection --------------------------------------------------------
@@ -1943,15 +1859,7 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
       case RtTask::State::kRunning: {
         StopRunning(task);
         task->attempt++;
-        const SimDuration lost =
-            IsService(task) ? 0 : task->work_done - task->saved_work;
-        result_.lost_work_core_hours +=
-            ToHours(lost) * task->spec->demand.cpus;
-        result_.wasted_core_hours += ToHours(lost) * task->spec->demand.cpus;
-        ChargeWaste(WasteCause::kFaultLostWork,
-                    ToHours(lost) * task->spec->demand.cpus, task);
-        task->work_done = task->saved_work;
-        task->unsynced_run = 0;
+        ForfeitUnsavedWork(task, WasteCause::kFaultLostWork);
         DetachFromNode(task);
         AddPending(task);
         break;
@@ -1973,32 +1881,13 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
         // fall back to kill semantics (progress since the last image dies).
         task->attempt++;
         ReleaseDumpTicket(task);
-        UnindexPendingDump(task);
-        if (config_.enforce_checkpoint_capacity &&
-            task->pending_dump_bytes > 0) {
-          cluster_->node(task->pending_dump_node)
-              .storage()
-              .Release(task->pending_dump_bytes);
-        }
-        task->pending_dump_bytes = 0;
-        const SimDuration lost =
-            IsService(task) ? 0 : task->work_done - task->saved_work;
-        result_.lost_work_core_hours +=
-            ToHours(lost) * task->spec->demand.cpus;
-        result_.wasted_core_hours += ToHours(lost) * task->spec->demand.cpus;
-        ChargeWaste(WasteCause::kFaultLostWork,
-                    ToHours(lost) * task->spec->demand.cpus, task);
-        task->work_done = task->saved_work;
-        task->unsynced_run = 0;
+        UnwindPendingDump(task);
+        ForfeitUnsavedWork(task, WasteCause::kFaultLostWork);
         node.ReleaseSuspended(task->spec->demand);
         auto& bucket = RunningOn(node_id);
         bucket.erase(std::find(bucket.begin(), bucket.end(), task));
         AddPending(task);
-        auto it = dump_beneficiary_.find(task);
-        if (it != dump_beneficiary_.end()) {
-          it->second->releases_in_flight--;
-          dump_beneficiary_.erase(it);
-        }
+        ReleaseBeneficiary(task);
         break;
       }
       default:
@@ -2018,19 +1907,8 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
     CKPT_CHECK(task->state == RtTask::State::kDumping);
     task->attempt++;
     ReleaseDumpTicket(task);
-    UnindexPendingDump(task);
-    if (config_.enforce_checkpoint_capacity && task->pending_dump_bytes > 0) {
-      cluster_->node(node_id).storage().Release(task->pending_dump_bytes);
-    }
-    task->pending_dump_bytes = 0;
-    const SimDuration lost =
-        IsService(task) ? 0 : task->work_done - task->saved_work;
-    result_.lost_work_core_hours += ToHours(lost) * task->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(lost) * task->spec->demand.cpus;
-    ChargeWaste(WasteCause::kFaultLostWork,
-                ToHours(lost) * task->spec->demand.cpus, task);
-    task->work_done = task->saved_work;
-    task->unsynced_run = 0;
+    UnwindPendingDump(task);  // its pending_dump_node is node_id
+    ForfeitUnsavedWork(task, WasteCause::kFaultLostWork);
     cluster_->node(task->node).ReleaseSuspended(task->spec->demand);
     // The seed forgot to refresh the fit summary here: the release grows an
     // *online* node's Available(), so a stale summary could wrongly report
@@ -2040,11 +1918,7 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
     auto& bucket = RunningOn(task->node);
     bucket.erase(std::find(bucket.begin(), bucket.end(), task));
     AddPending(task);
-    auto it = dump_beneficiary_.find(task);
-    if (it != dump_beneficiary_.end()) {
-      it->second->releases_in_flight--;
-      dump_beneficiary_.erase(it);
-    }
+    ReleaseBeneficiary(task);
   }
 
   // Checkpoint images whose accounting device was on the failed node.

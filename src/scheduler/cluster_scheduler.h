@@ -316,8 +316,28 @@ class ClusterScheduler {
   // Unwind bookkeeping for an abandoned dump: withdraw/release any dump-
   // scheduler ticket and clear the interference freeze fields.
   void ReleaseDumpTicket(RtTask* task);
+  // Abandon an in-flight dump's target: drop it from the failure index and
+  // return its image-capacity reservation.
+  void UnwindPendingDump(RtTask* task);
+  // `victim`'s dump no longer frees resources for the task it was made
+  // for; that task may trigger preemption again.
+  void ReleaseBeneficiary(RtTask* victim);
+  // Interference accounting: one reconciling charge for the real span the
+  // task's cores sat frozen in a dump or restore (admission deferral, device
+  // queue and service, shared-domain drain), added to `total`.
+  void ChargeFrozenSpan(RtTask* task, SimDuration* total, WasteCause cause);
   void OnRestoreFailed(RtTask* task);
   void StopRunning(RtTask* task);  // fold progress, detach from node
+  // Run time until `task` completes: a service replica retires at its
+  // absolute service_end, a batch task after its remaining work.
+  SimDuration RemainingRun(const RtTask* task) const;
+  // A task just entered kRunning: schedule its completion (at least 1 tick
+  // out) and its next periodic dump.
+  void ScheduleCompletion(RtTask* task);
+  // Progress since the last image dies: charge it to `cause` (zero for a
+  // service replica, which has no batch work to lose) and roll the task
+  // back to its image.
+  void ForfeitUnsavedWork(RtTask* task, WasteCause cause);
   void DetachFromNode(RtTask* task);
   void ReleaseImage(RtTask* task);
   PreemptAction DecideVictimAction(RtTask* victim) const;

@@ -4,6 +4,14 @@
 
 namespace ckpt {
 
+namespace {
+// Checkpoint the victim, incrementally when it has an image to build on.
+PreemptAction CheckpointAction(bool incremental) {
+  return incremental ? PreemptAction::kCheckpointIncremental
+                     : PreemptAction::kCheckpointFull;
+}
+}  // namespace
+
 const char* PolicyName(PreemptionPolicy policy) {
   switch (policy) {
     case PreemptionPolicy::kWait: return "Wait";
@@ -12,6 +20,32 @@ const char* PolicyName(PreemptionPolicy policy) {
     case PreemptionPolicy::kAdaptive: return "Adaptive";
   }
   return "?";
+}
+
+const char* ActionName(PreemptAction action) {
+  switch (action) {
+    case PreemptAction::kKill: return "kill";
+    case PreemptAction::kCheckpointFull: return "checkpoint_full";
+    case PreemptAction::kCheckpointIncremental:
+      return "checkpoint_incremental";
+  }
+  return "unknown";
+}
+
+PreemptAction FixedPreemptAction(PreemptionPolicy policy, bool can_increment) {
+  switch (policy) {
+    case PreemptionPolicy::kWait:
+      CKPT_CHECK(false) << "wait policy never preempts";
+      break;
+    case PreemptionPolicy::kKill:
+      return PreemptAction::kKill;
+    case PreemptionPolicy::kCheckpoint:
+      return CheckpointAction(can_increment);
+    case PreemptionPolicy::kAdaptive:
+      CKPT_CHECK(false) << "adaptive policy needs its Algorithm 1 decision";
+      break;
+  }
+  return PreemptAction::kKill;
 }
 
 SimDuration EstimateCheckpointOverhead(const CheckpointCost& cost) {
@@ -35,8 +69,7 @@ PreemptAction DecidePreemption(SimDuration unsaved_progress,
   const auto scaled =
       static_cast<SimDuration>(static_cast<double>(overhead) * threshold);
   if (unsaved_progress <= scaled) return PreemptAction::kKill;
-  return has_prior_image ? PreemptAction::kCheckpointIncremental
-                         : PreemptAction::kCheckpointFull;
+  return CheckpointAction(has_prior_image);
 }
 
 PreemptAction DecideServicePreemption(const ServicePreemptCost& cost,
@@ -47,8 +80,7 @@ PreemptAction DecideServicePreemption(const ServicePreemptCost& cost,
   const double ckpt_cost =
       cost.ckpt_violation_s + ToSeconds(cost.ckpt_overhead);
   if (kill_cost <= threshold * ckpt_cost) return PreemptAction::kKill;
-  return has_prior_image ? PreemptAction::kCheckpointIncremental
-                         : PreemptAction::kCheckpointFull;
+  return CheckpointAction(has_prior_image);
 }
 
 SimDuration EstimateLocalRestore(const RestoreCost& cost) {

@@ -60,6 +60,24 @@ SimDuration EstimateCheckpointOverhead(const CheckpointCost& cost);
 
 enum class PreemptAction { kKill, kCheckpointFull, kCheckpointIncremental };
 
+// Audit/trace vocabulary: "kill", "checkpoint_full", "checkpoint_incremental".
+const char* ActionName(PreemptAction action);
+
+// The fixed policies' action: kKill kills, kCheckpoint checkpoints
+// (incrementally if possible). kWait never preempts and kAdaptive needs its
+// decision (ChoosePreemptAction), so both fail a CHECK.
+PreemptAction FixedPreemptAction(PreemptionPolicy policy, bool can_increment);
+
+// Every front-end's policy -> action mapping. `adaptive()` runs only under
+// kAdaptive, so the adaptive inputs (overhead probes, dirty-page RNG draws)
+// are computed only when Algorithm 1 consults them.
+template <typename AdaptiveDecision>
+PreemptAction ChoosePreemptAction(PreemptionPolicy policy, bool can_increment,
+                                  AdaptiveDecision&& adaptive) {
+  if (policy == PreemptionPolicy::kAdaptive) return adaptive();
+  return FixedPreemptAction(policy, can_increment);
+}
+
 // Decide kill vs (incremental) checkpoint for one victim.
 //  `unsaved_progress` — work that dies with the task if killed;
 //  `overhead`         — EstimateCheckpointOverhead result;

@@ -8,6 +8,17 @@
 
 namespace ckpt {
 
+PreemptOverheadTerms EstimatePreemptOverhead(const ResourceManager& rm,
+                                             const CheckpointEngine& engine,
+                                             const ProcessState& proc,
+                                             NodeId node, bool incremental) {
+  PreemptOverheadTerms terms;
+  terms.queue = rm.DumpQueueDelay(node);
+  terms.dump_service = engine.EstimateDumpService(proc, node, incremental);
+  terms.restore = engine.EstimateRestore(proc, node, /*local=*/true);
+  return terms;
+}
+
 struct DistributedShellAm::TaskRt {
   const TaskSpec* spec = nullptr;
   std::unique_ptr<ProcessState> proc;  // created on first launch
@@ -262,11 +273,8 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
   // adaptive policy consults; for kill/checkpoint policies this records what
   // the adaptive decision would have weighed.
   const NodeId node = task->container.node;
-  const SimDuration queue = rm_->DumpQueueDelay(node);
-  const SimDuration dump_service =
-      engine_->EstimateDumpService(*task->proc, node, can_increment);
-  const SimDuration restore =
-      engine_->EstimateRestore(*task->proc, node, /*local=*/true);
+  const PreemptOverheadTerms terms =
+      EstimatePreemptOverhead(*rm_, *engine_, *task->proc, node, can_increment);
   const SimDuration unsaved = UnsavedProgress(task);
   // Build both records in the member scratch buffers: the ring swap hands
   // evicted buffers back, so steady-state decisions rebuild in place with
@@ -296,11 +304,10 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
   set_num(rec.args[1], "container",
           static_cast<double>(task->container.id.value()));
   set_num(rec.args[2], "unsaved_progress_s", ToSeconds(unsaved));
-  set_num(rec.args[3], "dump_queue_s", ToSeconds(queue));
-  set_num(rec.args[4], "dump_service_s", ToSeconds(dump_service));
-  set_num(rec.args[5], "restore_s", ToSeconds(restore));
-  set_num(rec.args[6], "overhead_s",
-          ToSeconds(queue + dump_service + restore));
+  set_num(rec.args[3], "dump_queue_s", ToSeconds(terms.queue));
+  set_num(rec.args[4], "dump_service_s", ToSeconds(terms.dump_service));
+  set_num(rec.args[5], "restore_s", ToSeconds(terms.restore));
+  set_num(rec.args[6], "overhead_s", ToSeconds(terms.total()));
   set_num(rec.args[7], "threshold", config_.adaptive_threshold);
   set_num(rec.args[8], "incremental_available", can_increment ? 1 : 0);
   set_str(rec.args[9], "action", action);
@@ -336,11 +343,10 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
           static_cast<double>(task->container.id.value()));
   set_num(audit.args[3], "node", static_cast<double>(node.value()));
   set_num(audit.args[4], "unsaved_progress_s", ToSeconds(unsaved));
-  set_num(audit.args[5], "dump_queue_s", ToSeconds(queue));
-  set_num(audit.args[6], "dump_service_s", ToSeconds(dump_service));
-  set_num(audit.args[7], "restore_s", ToSeconds(restore));
-  set_num(audit.args[8], "overhead_s",
-          ToSeconds(queue + dump_service + restore));
+  set_num(audit.args[5], "dump_queue_s", ToSeconds(terms.queue));
+  set_num(audit.args[6], "dump_service_s", ToSeconds(terms.dump_service));
+  set_num(audit.args[7], "restore_s", ToSeconds(terms.restore));
+  set_num(audit.args[8], "overhead_s", ToSeconds(terms.total()));
   set_num(audit.args[9], "threshold", config_.adaptive_threshold);
   set_num(audit.args[10], "incremental_available", can_increment ? 1 : 0);
   set_str(audit.args[11], "policy", PolicyName(config_.policy));
@@ -370,46 +376,21 @@ void DistributedShellAm::HandlePreempt(TaskRt* task) {
     KillTask(task);
     return;
   }
-  switch (config_.policy) {
-    case PreemptionPolicy::kWait:
-      CKPT_CHECK(false) << "wait policy never sends preempt events";
-      return;
-    case PreemptionPolicy::kKill:
-      RecordPolicyDecision(task, can_increment, "kill");
-      KillTask(task);
-      return;
-    case PreemptionPolicy::kCheckpoint:
-      RecordPolicyDecision(task, can_increment,
-                           can_increment ? "checkpoint_incremental"
-                                         : "checkpoint_full");
-      CheckpointTask(task, can_increment);
-      return;
-    case PreemptionPolicy::kAdaptive: {
-      // Algorithm 1: dump + restore service time plus the node's checkpoint-
-      // queue backlog (the RM tracks in-flight reservations).
-      TouchDirtyPages(task);
-      const NodeId node = task->container.node;
-      const SimDuration overhead =
-          rm_->DumpQueueDelay(node) +
-          engine_->EstimateDumpService(*task->proc, node, can_increment) +
-          engine_->EstimateRestore(*task->proc, node, /*local=*/true);
-      const PreemptAction action =
-          DecidePreemption(UnsavedProgress(task), overhead, can_increment,
-                           config_.adaptive_threshold);
-      RecordPolicyDecision(task, can_increment,
-                           action == PreemptAction::kKill
-                               ? "kill"
-                               : action == PreemptAction::kCheckpointIncremental
-                                     ? "checkpoint_incremental"
-                                     : "checkpoint_full");
-      if (action == PreemptAction::kKill) {
-        KillTask(task);
-      } else {
-        CheckpointTask(task,
-                       action == PreemptAction::kCheckpointIncremental);
-      }
-      return;
-    }
+  const PreemptAction action =
+      ChoosePreemptAction(config_.policy, can_increment, [&] {
+        // Algorithm 1 on the live page table: fold the run since the last
+        // dump into it before estimating the dump.
+        TouchDirtyPages(task);
+        const PreemptOverheadTerms terms = EstimatePreemptOverhead(
+            *rm_, *engine_, *task->proc, task->container.node, can_increment);
+        return DecidePreemption(UnsavedProgress(task), terms.total(),
+                                can_increment, config_.adaptive_threshold);
+      });
+  RecordPolicyDecision(task, can_increment, ActionName(action));
+  if (action == PreemptAction::kKill) {
+    KillTask(task);
+  } else {
+    CheckpointTask(task, action == PreemptAction::kCheckpointIncremental);
   }
 }
 

@@ -54,6 +54,22 @@ struct AmStats {
   std::vector<double> task_response_seconds;
 };
 
+// Algorithm 1's overhead terms for checkpointing a YARN task on `node`: the
+// node's checkpoint-queue backlog (the RM tracks in-flight reservations),
+// the dump's service time, and a local restore. Every YARN AM decides from
+// these; overhead_s in the policy.decision record is their total().
+struct PreemptOverheadTerms {
+  SimDuration queue = 0;
+  SimDuration dump_service = 0;
+  SimDuration restore = 0;
+  SimDuration total() const { return queue + dump_service + restore; }
+};
+
+PreemptOverheadTerms EstimatePreemptOverhead(const ResourceManager& rm,
+                                             const CheckpointEngine& engine,
+                                             const ProcessState& proc,
+                                             NodeId node, bool incremental);
+
 class DistributedShellAm final : public AppClient {
  public:
   DistributedShellAm(Simulator* sim, ResourceManager* rm,

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "obs/observability.h"
+#include "service/service.h"
 #include "trace/google_trace.h"
 
 namespace ckpt {
@@ -354,6 +355,102 @@ TEST(ClusterScheduler, AllTasksCompleteUnderChurn) {
       EXPECT_EQ(result.checkpoints, 0);
     }
   }
+}
+
+// --- Service replicas -------------------------------------------------------
+
+// One service (id 1000) whose replicas live for the first two hours, beside
+// the given batch jobs on a single 8-core node.
+struct ServiceRun {
+  SimulationResult result;
+  double ledger_fault_lost = 0;
+  double ledger_reconcilable = 0;
+};
+
+ServiceRun RunWithService(PreemptionPolicy policy, int replicas,
+                          double replica_cpus, const Workload& batch,
+                          SimTime fail_at) {
+  Observability obs;
+  Simulator sim;
+  Cluster cluster(&sim);
+  cluster.AddNodes(1, Resources{8.0, GiB(32)}, StorageMedium::Nvm());
+  SchedulerConfig config;
+  config.policy = policy;
+  config.medium = StorageMedium::Nvm();
+  config.obs = &obs;
+  ClusterScheduler scheduler(&sim, &cluster, config);
+  ServiceSpec service;
+  service.id = 1000;
+  service.name = "svc";
+  service.replicas = replicas;
+  service.demand = Resources{replica_cpus, GiB(4)};
+  service.end = Hours(2);
+  scheduler.Submit(batch);
+  scheduler.SubmitServices({service});
+  if (fail_at >= 0) scheduler.InjectNodeFailure(NodeId(0), fail_at, Minutes(5));
+  ServiceRun out;
+  out.result = scheduler.Run();
+  out.ledger_fault_lost = obs.waste().Total(WasteCause::kFaultLostWork);
+  out.ledger_reconcilable = obs.waste().ReconcilableCoreHours();
+  return out;
+}
+
+Workload OneTaskJob(int priority, SimTime submit, SimDuration duration,
+                    double cpus) {
+  Workload w;
+  JobSpec job;
+  job.id = JobId(1);
+  job.submit_time = submit;
+  job.priority = priority;
+  TaskSpec task;
+  task.id = TaskId(1);
+  task.job = job.id;
+  task.duration = duration;
+  task.demand = Resources{cpus, GiB(4)};
+  task.priority = priority;
+  job.tasks.push_back(task);
+  w.jobs.push_back(job);
+  return w;
+}
+
+// A node crash interrupts two replicas and one batch task after 30 minutes
+// of running. Only the batch task's half hour on 4 cores is lost work; the
+// replicas carry no batch progress, so charging them would add another
+// 2 x 0.5 h x 2 cores.
+TEST(ServiceReplicas, NodeFailureChargesNoLostWorkToReplicas) {
+  const ServiceRun run =
+      RunWithService(PreemptionPolicy::kAdaptive, /*replicas=*/2,
+                     /*replica_cpus=*/2.0,
+                     OneTaskJob(/*priority=*/1, 0, Hours(1), 4.0),
+                     /*fail_at=*/Minutes(30));
+  const SimulationResult& r = run.result;
+  ASSERT_EQ(r.node_failures, 1);
+  ASSERT_EQ(r.tasks_interrupted_by_failure, 3);
+  EXPECT_DOUBLE_EQ(r.lost_work_core_hours, 0.5 * 4.0);
+  EXPECT_DOUBLE_EQ(run.ledger_fault_lost, 0.5 * 4.0);
+  EXPECT_NEAR(run.ledger_reconcilable, r.wasted_core_hours,
+              1e-9 + 0.01 * r.wasted_core_hours);
+  EXPECT_EQ(r.tasks_completed, 1);
+  EXPECT_EQ(r.service_replicas_retired, 2);
+}
+
+// A high-priority task forces a checkpoint of the only replica; after the
+// task finishes the replica is restored and still retires exactly at its
+// service end, counted as retired rather than as a completed batch task.
+TEST(ServiceReplicas, CheckpointedReplicaRetiresAtServiceEnd) {
+  const ServiceRun run =
+      RunWithService(PreemptionPolicy::kCheckpoint, /*replicas=*/1,
+                     /*replica_cpus=*/6.0,
+                     OneTaskJob(/*priority=*/9, Minutes(30), Minutes(10), 4.0),
+                     /*fail_at=*/-1);
+  const SimulationResult& r = run.result;
+  ASSERT_EQ(r.service_preemptions, 1);
+  ASSERT_EQ(r.checkpoints, 1);
+  ASSERT_EQ(r.local_restores + r.remote_restores, 1);
+  EXPECT_EQ(r.kills, 0);
+  EXPECT_EQ(r.tasks_completed, 1);
+  EXPECT_EQ(r.service_replicas_retired, 1);
+  EXPECT_EQ(r.makespan, Hours(2));
 }
 
 }  // namespace

@@ -7,10 +7,6 @@
 
 #include "dag/dag.h"
 
-#include "cluster/cluster.h"
-#include "dfs/dfs.h"
-#include "mesos/mesos.h"
-
 namespace ckpt {
 namespace {
 
@@ -125,58 +121,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PreemptionPolicy::kKill,
                                          PreemptionPolicy::kCheckpoint,
                                          PreemptionPolicy::kAdaptive)));
-
-// Weight sweep on the Mesos layer: any weight gap triggers revocation in
-// exactly one direction.
-class MesosWeightSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(MesosWeightSweep, OnlyLowerWeightIsRevoked) {
-  const int high_weight = GetParam();
-  // Weight 1 vs high_weight: see test_mesos.cc for the harness pieces; here
-  // a compact inline version suffices.
-  Simulator sim;
-  Cluster cluster(&sim);
-  cluster.AddNodes(1, Resources{4.0, GiB(8)}, StorageMedium::Nvm());
-  NetworkModel net(&sim, NetworkConfig{});
-  DfsConfig dfs_config;
-  dfs_config.replication = 1;
-  DfsCluster dfs(&sim, &net, dfs_config);
-  for (Node* node : cluster.nodes()) {
-    net.AddNode(node->id());
-    dfs.AddDataNode(node->id(), &node->storage());
-  }
-  DfsStore store(&dfs);
-  CheckpointEngine engine(&sim, &store);
-  MesosMaster master(&sim, &cluster, MesosConfig{});
-
-  BatchFrameworkConfig low_config;
-  low_config.num_tasks = 4;
-  low_config.task_duration = Minutes(3);
-  low_config.task_demand = Resources{1.0, GiB(2)};
-  BatchFramework low(&sim, &master, &engine, "low", low_config, nullptr);
-  master.RegisterFramework(&low, 1);
-  low.Start();
-  sim.Run(Seconds(60));
-
-  BatchFrameworkConfig prod_config = low_config;
-  prod_config.task_duration = Seconds(20);
-  BatchFramework prod(&sim, &master, &engine, "prod", prod_config, nullptr);
-  master.RegisterFramework(&prod, high_weight);
-  prod.Start();
-  sim.Run();
-
-  EXPECT_TRUE(low.Done());
-  EXPECT_TRUE(prod.Done());
-  if (high_weight > 1) {
-    EXPECT_GT(low.stats().revocations, 0);
-  } else {
-    EXPECT_EQ(low.stats().revocations, 0);  // equal weight: no revocation
-  }
-  EXPECT_EQ(prod.stats().revocations, 0);  // never revoked in either case
-}
-
-INSTANTIATE_TEST_SUITE_P(Weights, MesosWeightSweep,
-                         ::testing::Values(1, 2, 5, 100));
 
 }  // namespace
 }  // namespace ckpt

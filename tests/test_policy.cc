@@ -95,6 +95,15 @@ TEST(PolicyNames, AllDistinct) {
   EXPECT_STREQ(PolicyName(PreemptionPolicy::kAdaptive), "Adaptive");
 }
 
+// The audit log, the policy.decision trace and the policy.decisions counter
+// all spell actions with this vocabulary.
+TEST(PolicyNames, ActionNamesAreTheAuditVocabulary) {
+  EXPECT_STREQ(ActionName(PreemptAction::kKill), "kill");
+  EXPECT_STREQ(ActionName(PreemptAction::kCheckpointFull), "checkpoint_full");
+  EXPECT_STREQ(ActionName(PreemptAction::kCheckpointIncremental),
+               "checkpoint_incremental");
+}
+
 // Property sweep: the adaptive decision is monotone in progress — once the
 // progress is large enough to checkpoint, more progress never flips back to
 // kill.

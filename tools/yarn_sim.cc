@@ -8,6 +8,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/parse_int.h"
 #include "trace/facebook_workload.h"
 #include "yarn/yarn_cluster.h"
 
@@ -61,10 +62,28 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+// A strict integer flag: the whole value must be an integer in [lo, hi].
+struct IntFlag {
+  const char* name;
+  int lo;
+  int hi;
+  int* out;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
+  // Lower bounds are what the Facebook generator (>= 4 jobs), the RM (>= 1
+  // node) and each node (>= 1 container's cores) require; upper bounds keep
+  // nodes * containers * 1.2 inside an int.
+  const IntFlag int_flags[] = {
+      {"--jobs", 4, 1000000, &flags.jobs},
+      {"--tasks", 1, 10000000, &flags.tasks},
+      {"--nodes", 1, 100000, &flags.nodes},
+      {"--containers", 1, 1000, &flags.containers},
+      {"--rack-size", 0, 100000, &flags.rack_size},
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::string value;
@@ -73,15 +92,22 @@ int main(int argc, char** argv) {
         ParseFlag(arg, "--scheduling", &flags.scheduling)) {
       continue;
     }
-    if (ParseFlag(arg, "--jobs", &value)) {
-      flags.jobs = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "--tasks", &value)) {
-      flags.tasks = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "--nodes", &value)) {
-      flags.nodes = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "--containers", &value)) {
-      flags.containers = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "--guarantee", &value)) {
+    const IntFlag* int_flag = nullptr;
+    for (const IntFlag& f : int_flags) {
+      if (ParseFlag(arg, f.name, &value)) int_flag = &f;
+    }
+    if (int_flag != nullptr) {
+      if (!ParseIntInRange(value, int_flag->lo, int_flag->hi, int_flag->out)) {
+        std::fprintf(stderr,
+                     "bad %s value: %s (expected an integer in [%d, %d])\n",
+                     int_flag->name, value.c_str(), int_flag->lo,
+                     int_flag->hi);
+        Usage(argv[0]);
+        return 2;
+      }
+      continue;
+    }
+    if (ParseFlag(arg, "--guarantee", &value)) {
       flags.guarantee = std::atof(value.c_str());
     } else if (ParseFlag(arg, "--threshold", &value)) {
       flags.threshold = std::atof(value.c_str());
@@ -89,8 +115,6 @@ int main(int argc, char** argv) {
       flags.net_aggregate_gbps = std::atof(value.c_str());
     } else if (ParseFlag(arg, "--rack-uplink-gbps", &value)) {
       flags.rack_uplink_gbps = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "--rack-size", &value)) {
-      flags.rack_size = std::atoi(value.c_str());
     } else if (std::strcmp(arg, "--net-charge-receiver") == 0) {
       flags.charge_receiver = true;
     } else if (std::strcmp(arg, "--no-incremental") == 0) {
