@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Malformed integer flags must be rejected with the usage text and exit
-# status 2 — not silently read as 0 (atoi) or crash the run later.
+# Malformed integer and float flags must be rejected with the usage text and exit
+# status 2 — not silently read as 0 (atoi/atof) or crash the run later.
 #
 # Usage: scripts/check_bad_flags.sh CKPT_SIM BENCH_SCALE YARN_SIM
 set -uo pipefail
@@ -49,5 +49,17 @@ expect_usage_error "$yarn_sim" --nodes=
 expect_usage_error "$yarn_sim" --containers=abc
 expect_usage_error "$yarn_sim" --containers=0
 expect_usage_error "$yarn_sim" --rack-size=-1
+expect_usage_error "$yarn_sim" --guarantee=2
+expect_usage_error "$yarn_sim" --guarantee=-1
+expect_usage_error "$yarn_sim" --guarantee=abc
+expect_usage_error "$yarn_sim" --guarantee=0.5x
+expect_usage_error "$yarn_sim" --threshold=abc
+expect_usage_error "$yarn_sim" --threshold=-3
+expect_usage_error "$yarn_sim" --threshold=0
+expect_usage_error "$yarn_sim" --threshold=nan
+expect_usage_error "$yarn_sim" --net-aggregate-gbps=-5
+expect_usage_error "$yarn_sim" --net-aggregate-gbps=inf
+expect_usage_error "$yarn_sim" --rack-uplink-gbps=x
+expect_usage_error "$yarn_sim" --rack-uplink-gbps=
 
 exit "$fail"

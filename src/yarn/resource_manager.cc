@@ -1,6 +1,7 @@
 #include "yarn/resource_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/observability.h"
@@ -16,6 +17,8 @@ ResourceManager::ResourceManager(Simulator* sim,
   for (NodeManager* nm : nodes_) {
     CKPT_CHECK(nm != nullptr);
     node_by_id_[nm->id()] = nm;
+    const auto dense = static_cast<size_t>(nm->id().value());
+    if (vacating_.size() <= dense) vacating_.resize(dense + 1);
     const Resources capacity = nm->node().capacity();
     const int by_cpu = static_cast<int>(capacity.cpus /
                                         config_.container_size.cpus);
@@ -28,14 +31,39 @@ ResourceManager::ResourceManager(Simulator* sim,
   guaranteed_slots_[1] = static_cast<int>(
       total_slots_ * config_.production_guarantee + 0.5);
   guaranteed_slots_[0] = total_slots_ - guaranteed_slots_[1];
+  if (config_.obs != nullptr) {
+    SelfProfile& prof = config_.obs->self_profile();
+    prof_schedule_loop_ = prof.slot("rm.schedule_loop");
+    prof_preempt_monitor_ = prof.slot("rm.preempt_monitor");
+  }
 }
 
 std::array<int, 2> ResourceManager::QueueUsage() const {
   std::array<int, 2> usage{};
-  for (const auto& [id, container] : live_) {
-    usage[static_cast<size_t>(QueueOf(container.priority))]++;
+  for (const auto& [priority, bucket] : live_by_priority_) {
+    usage[static_cast<size_t>(QueueOf(priority))] +=
+        static_cast<int>(bucket.size());
   }
   return usage;
+}
+
+ResourceManager::AskIter ResourceManager::EraseAsk(AskIter it) {
+  auto count = ask_counts_.find(it->priority);
+  if (--count->second == 0) ask_counts_.erase(count);
+  return asks_.erase(it);
+}
+
+void ResourceManager::ForgetContainer(
+    std::unordered_map<ContainerId, Container>::iterator it) {
+  if (preempt_pending_.erase(it->first) > 0) {
+    --vacating_[static_cast<size_t>(it->second.node.value())];
+  }
+  auto bucket = live_by_priority_.find(it->second.priority);
+  std::vector<const Container*>& members = bucket->second;
+  *std::find(members.begin(), members.end(), &it->second) = members.back();
+  members.pop_back();
+  if (members.empty()) live_by_priority_.erase(bucket);
+  live_.erase(it);
 }
 
 AppId ResourceManager::RegisterApp(AppClient* client, int priority) {
@@ -48,7 +76,7 @@ AppId ResourceManager::RegisterApp(AppClient* client, int priority) {
 void ResourceManager::UnregisterApp(AppId app) {
   apps_.erase(app);
   for (auto it = asks_.begin(); it != asks_.end();) {
-    it = it->app == app ? asks_.erase(it) : std::next(it);
+    it = it->app == app ? EraseAsk(it) : std::next(it);
   }
 }
 
@@ -56,9 +84,11 @@ void ResourceManager::RequestContainers(AppId app, int count,
                                         NodeId preferred) {
   auto it = apps_.find(app);
   CKPT_CHECK(it != apps_.end());
+  const int priority = it->second.priority;
   for (int i = 0; i < count; ++i) {
-    asks_.insert(Ask{app, it->second.priority, preferred, next_seq_++});
+    asks_.insert(Ask{app, priority, preferred, next_seq_++});
   }
+  if (count > 0) ask_counts_[priority] += count;
   RequestSchedule();
 }
 
@@ -68,8 +98,7 @@ void ResourceManager::ReleaseContainer(ContainerId id) {
   // was in flight; that is not an error.
   if (it == live_.end()) return;
   node_by_id_.at(it->second.node)->StopContainer(id);
-  live_.erase(it);
-  preempt_pending_.erase(id);
+  ForgetContainer(it);
   RequestSchedule();
 }
 
@@ -107,8 +136,8 @@ void ResourceManager::OnNodeFailure(NodeId node) {
                        static_cast<double>(evicted.size()))});
   }
   for (const Container& container : evicted) {
-    live_.erase(container.id);
-    preempt_pending_.erase(container.id);
+    auto live_it = live_.find(container.id);
+    if (live_it != live_.end()) ForgetContainer(live_it);
     auto app_it = apps_.find(container.app);
     if (app_it == apps_.end()) continue;
     AppClient* client = app_it->second.client;
@@ -165,6 +194,7 @@ NodeManager* ResourceManager::PickNode(NodeId preferred) {
 }
 
 void ResourceManager::ScheduleLoop() {
+  ScopedWallTimer loop_timer(prof_schedule_loop_);
   Observability* obs = config_.obs;
   Tracer::SpanId span = Tracer::kInvalidSpan;
   // Idle wakeups (no outstanding asks) are not worth a trace event; they
@@ -183,6 +213,7 @@ void ResourceManager::ScheduleLoop() {
     PriorityAllocate();
   }
   if (config_.policy != PreemptionPolicy::kWait) {
+    ScopedWallTimer monitor_timer(prof_preempt_monitor_);
     if (config_.scheduling_mode == SchedulingMode::kCapacity) {
       RunCapacityMonitor();
     } else {
@@ -218,7 +249,8 @@ bool ResourceManager::Allocate(const Ask& ask) {
   container.priority = ask.priority;
   container.started = sim_->Now();
   CKPT_CHECK(nm->LaunchContainer(container));
-  live_[container.id] = container;
+  const Container& live = live_[container.id] = container;
+  live_by_priority_[container.priority].push_back(&live);
   AppClient* client = app_it->second.client;
   sim_->ScheduleAfter(config_.rpc_latency, [client, container] {
     client->OnContainerAllocated(container);
@@ -230,28 +262,31 @@ void ResourceManager::PriorityAllocate() {
   // Satisfy asks highest-priority first while slots last.
   for (auto it = asks_.begin(); it != asks_.end();) {
     if (!Allocate(*it)) break;  // cluster full: fall through to the monitor
-    it = asks_.erase(it);
+    it = EraseAsk(it);
   }
 }
 
 void ResourceManager::CapacityAllocate() {
   auto usage = QueueUsage();
-  // Pass 1: queues below their guarantee claim their share first.
+  // Pass 1: queues below their guarantee claim their share first. Usage
+  // only grows here, so a queue that reaches its guarantee stays there:
+  // skip the rest of its contiguous range of asks in one step.
   for (auto it = asks_.begin(); it != asks_.end();) {
     const auto queue = static_cast<size_t>(QueueOf(it->priority));
     if (usage[queue] >= guaranteed_slots_[queue]) {
-      ++it;
+      it = queue == 1 ? asks_.upper_bound(kProductionPriority)
+                      : asks_.end();
       continue;
     }
     if (!Allocate(*it)) return;
     usage[queue]++;
-    it = asks_.erase(it);
+    it = EraseAsk(it);
   }
   // Pass 2: work conservation — idle slots may be borrowed beyond the
   // guarantee (they come back through the capacity monitor when needed).
   for (auto it = asks_.begin(); it != asks_.end();) {
     if (!Allocate(*it)) return;
-    it = asks_.erase(it);
+    it = EraseAsk(it);
   }
 }
 
@@ -263,22 +298,45 @@ SimDuration ResourceManager::VictimCost(const Container& container) const {
   return device.QueueDelay() + device.EstimateWrite(container.size.memory);
 }
 
+std::vector<const Container*> ResourceManager::CollectVictims(
+    BucketIter first, BucketIter last) const {
+  std::vector<const Container*> victims;
+  for (; first != last; ++first) {
+    for (const Container* container : first->second) {
+      if (preempt_pending_.count(container->id) == 0) {
+        victims.push_back(container);
+      }
+    }
+  }
+  return victims;
+}
+
+// Every order below is total (it ends in an id tie-break), so the ranking
+// does not depend on the order CollectVictims visits the buckets in.
 void ResourceManager::RankVictims(
     std::vector<const Container*>& victims) const {
   switch (config_.victim_order) {
-    case VictimOrder::kCostAware:
-      std::sort(victims.begin(), victims.end(),
-                [this](const Container* a, const Container* b) {
-                  const SimDuration ca = VictimCost(*a);
-                  const SimDuration cb = VictimCost(*b);
-                  if (ca != cb) return ca < cb;
+    case VictimOrder::kCostAware: {
+      // One cost read per victim, not one per comparison.
+      std::vector<std::pair<SimDuration, const Container*>> ranked;
+      ranked.reserve(victims.size());
+      for (const Container* victim : victims) {
+        ranked.emplace_back(VictimCost(*victim), victim);
+      }
+      std::sort(ranked.begin(), ranked.end(),
+                [](const auto& x, const auto& y) {
+                  if (x.first != y.first) return x.first < y.first;
                   // Equal checkpoint cost (same container size and queue):
                   // vacate the youngest container — it has the least
                   // progress to save or lose.
+                  const Container* a = x.second;
+                  const Container* b = y.second;
                   if (a->started != b->started) return a->started > b->started;
                   return a->id.value() < b->id.value();
                 });
+      for (size_t i = 0; i < ranked.size(); ++i) victims[i] = ranked[i].second;
       break;
+    }
     case VictimOrder::kLowestPriority:
       std::sort(victims.begin(), victims.end(),
                 [](const Container* a, const Container* b) {
@@ -291,8 +349,10 @@ void ResourceManager::RankVictims(
       // Deterministic shuffle stand-in: order by id hash-ish.
       std::sort(victims.begin(), victims.end(),
                 [](const Container* a, const Container* b) {
-                  return (a->id.value() * 2654435761u % 1000003) <
-                         (b->id.value() * 2654435761u % 1000003);
+                  const auto ka = a->id.value() * 2654435761u % 1000003;
+                  const auto kb = b->id.value() * 2654435761u % 1000003;
+                  if (ka != kb) return ka < kb;
+                  return a->id.value() < b->id.value();
                 });
       break;
   }
@@ -311,11 +371,9 @@ void ResourceManager::DispatchPreempts(std::vector<const Container*> victims,
   // Per-node cap on concurrent vacating containers: checkpoints on a node
   // are sequential, so asking more victims than that to dump at once only
   // freezes work that could still be executing.
-  std::unordered_map<NodeId, int> vacating;
-  for (ContainerId id : preempt_pending_) {
-    auto it = live_.find(id);
-    if (it != live_.end()) vacating[it->second.node]++;
-  }
+  auto vacating = [this](NodeId node) -> int& {
+    return vacating_[static_cast<size_t>(node.value())];
+  };
 
   // Audit envelope: which ranked victims the monitor examined this round
   // and why each was dispatched or passed over.
@@ -368,7 +426,7 @@ void ResourceManager::DispatchPreempts(std::vector<const Container*> victims,
       continue;
     }
     if (config_.policy != PreemptionPolicy::kKill &&
-        vacating[victim->node] >= config_.max_vacating_per_node) {
+        vacating(victim->node) >= config_.max_vacating_per_node) {
       audit_victim(victim, "skipped", "vacating_cap");
       continue;
     }
@@ -380,7 +438,7 @@ void ResourceManager::DispatchPreempts(std::vector<const Container*> victims,
     audit_victim(victim, "dispatched", "selected");
     ++dispatched;
     preempt_pending_.insert(victim->id);
-    vacating[victim->node]++;
+    vacating(victim->node)++;
     ++preempt_events_;
     --count;
     if (obs != nullptr) {
@@ -439,20 +497,12 @@ void ResourceManager::RunPreemptionMonitor() {
   if (asks_.empty()) return;
   // Consider only the top ask's priority level; lower asks wait their turn.
   const int want_priority = asks_.begin()->priority;
-  std::int64_t unsatisfied = 0;
-  for (const Ask& ask : asks_) {
-    if (ask.priority == want_priority) ++unsatisfied;
-  }
+  const std::int64_t unsatisfied = ask_counts_.at(want_priority);
   const auto in_flight = static_cast<std::int64_t>(preempt_pending_.size());
   if (unsatisfied <= in_flight) return;
 
-  std::vector<const Container*> victims;
-  for (const auto& [id, container] : live_) {
-    if (container.priority < want_priority &&
-        preempt_pending_.count(id) == 0) {
-      victims.push_back(&container);
-    }
-  }
+  std::vector<const Container*> victims = CollectVictims(
+      live_by_priority_.begin(), live_by_priority_.lower_bound(want_priority));
   RankVictims(victims);
   DispatchPreempts(std::move(victims), unsatisfied - in_flight);
 }
@@ -463,8 +513,8 @@ void ResourceManager::RunCapacityMonitor() {
 
   // Count unsatisfied asks and pending reclaims per queue.
   std::array<std::int64_t, 2> unsatisfied{};
-  for (const Ask& ask : asks_) {
-    unsatisfied[static_cast<size_t>(QueueOf(ask.priority))]++;
+  for (const auto& [priority, count] : ask_counts_) {
+    unsatisfied[static_cast<size_t>(QueueOf(priority))] += count;
   }
   std::array<std::int64_t, 2> pending{};
   for (ContainerId id : preempt_pending_) {
@@ -487,13 +537,11 @@ void ResourceManager::RunCapacityMonitor() {
         std::min({deficit, unsatisfied[queue], surplus});
     if (want <= 0) continue;
 
-    std::vector<const Container*> victims;
-    for (const auto& [id, container] : live_) {
-      if (static_cast<size_t>(QueueOf(container.priority)) == other &&
-          preempt_pending_.count(id) == 0) {
-        victims.push_back(&container);
-      }
-    }
+    const BucketIter production =
+        live_by_priority_.lower_bound(kProductionPriority);
+    std::vector<const Container*> victims =
+        other == 1 ? CollectVictims(production, live_by_priority_.end())
+                   : CollectVictims(live_by_priority_.begin(), production);
     RankVictims(victims);
     DispatchPreempts(std::move(victims), want);
     return;  // one queue per monitor round

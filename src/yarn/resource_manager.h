@@ -8,11 +8,17 @@
 // containers cost-aware — estimated checkpoint time, i.e. container memory
 // over the node's checkpoint bandwidth plus the node's checkpoint-queue
 // backlog — and asks their ApplicationMasters to vacate the cheapest ones.
+//
+// The scheduling loop runs after every ask, release and node event, so the
+// RM keeps what the loop reads up to date where asks and containers change
+// — per-priority ask counts and live containers bucketed by priority —
+// instead of rescanning the ask backlog and every live container per loop.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "obs/audit_log.h"
+#include "obs/self_profile.h"
 #include "sim/simulator.h"
 #include "yarn/container.h"
 #include "yarn/node_manager.h"
@@ -89,11 +96,20 @@ class ResourceManager {
     std::int64_t seq = 0;
   };
   struct AskOrder {
+    using is_transparent = void;
     bool operator()(const Ask& a, const Ask& b) const {
       if (a.priority != b.priority) return a.priority > b.priority;
       return a.seq < b.seq;
     }
+    // Priority-only probes: asks_.upper_bound(p) is the first ask below p.
+    bool operator()(int priority, const Ask& b) const {
+      return priority > b.priority;
+    }
+    bool operator()(const Ask& a, int priority) const {
+      return a.priority > priority;
+    }
   };
+  using AskIter = std::multiset<Ask, AskOrder>::iterator;
   struct AppInfo {
     AppClient* client = nullptr;
     int priority = 0;
@@ -106,6 +122,17 @@ class ResourceManager {
   void RunPreemptionMonitor();
   void RunCapacityMonitor();
   bool Allocate(const Ask& ask);
+  // Erase one ask and its per-priority count; returns the next ask.
+  AskIter EraseAsk(AskIter it);
+  // Remove a live container, its priority-bucket entry and any pending
+  // preempt on it.
+  void ForgetContainer(std::unordered_map<ContainerId, Container>::iterator it);
+  // Live containers not already asked to vacate, from the priority buckets
+  // in [first, last).
+  using BucketIter =
+      std::map<int, std::vector<const Container*>>::const_iterator;
+  std::vector<const Container*> CollectVictims(BucketIter first,
+                                               BucketIter last) const;
   void DispatchPreempts(std::vector<const Container*> victims,
                         std::int64_t count);
   NodeManager* PickNode(NodeId preferred);
@@ -115,8 +142,11 @@ class ResourceManager {
   const std::string& NodeTrackCached(NodeId node);
 
   // Capacity mode: queue index of a priority (0 = batch, 1 = production).
+  // Asks are ordered highest priority first, so each queue's asks form one
+  // contiguous range of asks_: production, then batch.
+  static constexpr int kProductionPriority = 9;
   static int QueueOf(int priority) {
-    return priority >= 9 ? 1 : 0;
+    return priority >= kProductionPriority ? 1 : 0;
   }
   std::array<int, 2> QueueUsage() const;
 
@@ -127,8 +157,14 @@ class ResourceManager {
 
   std::unordered_map<AppId, AppInfo> apps_;
   std::multiset<Ask, AskOrder> asks_;
+  std::map<int, std::int64_t> ask_counts_;  // asks_ size per priority
   std::unordered_map<ContainerId, Container> live_;
+  // live_ containers bucketed by priority (unordered within a bucket);
+  // empty buckets are erased.
+  std::map<int, std::vector<const Container*>> live_by_priority_;
   std::unordered_set<ContainerId> preempt_pending_;
+  // preempt_pending_ containers per node, indexed by dense node id.
+  std::vector<int> vacating_;
 
   int total_slots_ = 0;
   std::array<int, 2> guaranteed_slots_{};  // capacity mode, by queue
@@ -148,6 +184,9 @@ class ResourceManager {
   std::vector<Counter*> preempt_event_counters_;
   Histogram* dump_queue_delay_hist_ = nullptr;
   std::vector<std::string> node_tracks_;
+  // Wall-time self-profile slots, resolved once (null when obs is off).
+  SelfProfile::Slot* prof_schedule_loop_ = nullptr;
+  SelfProfile::Slot* prof_preempt_monitor_ = nullptr;
 };
 
 }  // namespace ckpt

@@ -128,6 +128,32 @@ TEST_F(CapacityRmTest, DeficitQueueAllocatesFirstOnRelease) {
   EXPECT_EQ(production.allocated.size(), 2u);
 }
 
+TEST_F(CapacityRmTest, SaturatedQueueBacklogDoesNotBlockTheOtherQueue) {
+  RecordingAm batch;
+  const AppId batch_app = rm_->RegisterApp(&batch, 1);
+  rm_->RequestContainers(batch_app, 4);
+  sim_.Run();
+  RecordingAm production;
+  const AppId prod_app = rm_->RegisterApp(&production, 10);
+  rm_->RequestContainers(prod_app, 100);  // guarantee of 4 plus a backlog
+  sim_.Run();
+  ASSERT_EQ(production.allocated.size(), 4u);
+  ASSERT_EQ(rm_->pending_asks(), 96);
+
+  // Batch frees two of its slots and asks for two more in the same round:
+  // production is at its guarantee, so its 96 queued asks (ahead of batch
+  // in priority order) must not take batch's share.
+  rm_->RequestContainers(batch_app, 2);
+  rm_->ReleaseContainer(batch.allocated[0].id);
+  rm_->ReleaseContainer(batch.allocated[1].id);
+  sim_.Run();
+  EXPECT_EQ(batch.allocated.size(), 6u);
+  EXPECT_EQ(production.allocated.size(), 4u);
+  EXPECT_EQ(rm_->pending_asks(), 96);
+  EXPECT_TRUE(batch.preempted.empty());
+  EXPECT_TRUE(production.preempted.empty());
+}
+
 // End-to-end: capacity mode avoids the batch starvation that strict
 // priority inflicts when production floods the cluster.
 TEST(CapacityEndToEnd, BatchKeepsProgressUnderProductionFlood) {

@@ -194,5 +194,113 @@ TEST_F(RmTest, CostAwareVictimsPreferIdleStorageNodes) {
   }
 }
 
+// Preempt events from several AMs, in the order the RM dispatched them.
+class LoggingAm : public FakeAm {
+ public:
+  explicit LoggingAm(std::vector<ContainerId>* log) : log_(log) {}
+  void OnPreemptContainer(ContainerId id) override {
+    FakeAm::OnPreemptContainer(id);
+    log_->push_back(id);
+  }
+
+ private:
+  std::vector<ContainerId>* log_;
+};
+
+class RmVictimTest : public RmTest {
+ protected:
+  // Rebuild the RM over the same nodes with `policy` and `order`.
+  void Reset(PreemptionPolicy policy, VictimOrder order) {
+    config_.policy = policy;
+    config_.victim_order = order;
+    std::vector<NodeManager*> nms;
+    for (auto& nm : node_managers_) nms.push_back(nm.get());
+    rm_ = std::make_unique<ResourceManager>(&sim_, nms, config_);
+  }
+};
+
+TEST_F(RmVictimTest, LowestPriorityOrderPreemptsOnlyLowerBucketsLowestFirst) {
+  // Kill policy: no per-node vacating cap, so the ranking alone decides.
+  Reset(PreemptionPolicy::kKill, VictimOrder::kLowestPriority);
+  std::vector<ContainerId> log;
+  LoggingAm p1(&log), p5(&log), p9(&log);
+  const AppId app1 = rm_->RegisterApp(&p1, 1);
+  const AppId app5 = rm_->RegisterApp(&p5, 5);
+  const AppId app9 = rm_->RegisterApp(&p9, 9);
+  rm_->RequestContainers(app1, 3);
+  rm_->RequestContainers(app5, 3);
+  rm_->RequestContainers(app9, 2);
+  sim_.Run();
+  ASSERT_EQ(rm_->live_containers(), 8);
+
+  LoggingAm top(&log);
+  const AppId top_app = rm_->RegisterApp(&top, 9);
+  rm_->RequestContainers(top_app, 8);
+  sim_.Run();
+  // Every container below priority 9 is a victim, priority 1 first; the
+  // priority-9 containers are never asked to vacate.
+  ASSERT_EQ(log.size(), 6u);
+  for (size_t i = 0; i < log.size(); ++i) {
+    const Container* victim = rm_->FindContainer(log[i]);
+    ASSERT_NE(victim, nullptr);
+    EXPECT_EQ(victim->priority, i < 3 ? 1 : 5) << "event " << i;
+  }
+  EXPECT_EQ(p1.preempted.size(), 3u);
+  EXPECT_EQ(p5.preempted.size(), 3u);
+  EXPECT_TRUE(p9.preempted.empty());
+}
+
+TEST_F(RmVictimTest, UnregisteredAppsAsksLeaveTheMonitorsCount) {
+  Reset(PreemptionPolicy::kAdaptive, VictimOrder::kCostAware);
+  FakeAm low;
+  const AppId low_app = rm_->RegisterApp(&low, 1);
+  rm_->RequestContainers(low_app, 8);
+  sim_.Run();
+  FakeAm first;
+  const AppId first_app = rm_->RegisterApp(&first, 9);
+  rm_->RequestContainers(first_app, 3);
+  sim_.Run();
+  ASSERT_EQ(low.preempted.size(), 3u);
+
+  // The first app leaves with its 3 asks outstanding; its preempts are
+  // still in flight. One more ask is covered by them.
+  rm_->UnregisterApp(first_app);
+  EXPECT_EQ(rm_->pending_asks(), 0);
+  FakeAm second;
+  const AppId second_app = rm_->RegisterApp(&second, 9);
+  rm_->RequestContainers(second_app, 1);
+  sim_.Run();
+  EXPECT_EQ(low.preempted.size(), 3u);
+  EXPECT_EQ(rm_->preempt_events_sent(), 3);
+}
+
+TEST_F(RmVictimTest, ContainersLostToNodeFailureAreNeverVictims) {
+  Reset(PreemptionPolicy::kKill, VictimOrder::kCostAware);
+  FakeAm low;
+  const AppId low_app = rm_->RegisterApp(&low, 1);
+  rm_->RequestContainers(low_app, 8);
+  sim_.Run();
+  ASSERT_EQ(low.allocated.size(), 8u);
+  rm_->OnNodeFailure(NodeId(0));
+  sim_.Run();
+  ASSERT_EQ(rm_->live_containers(), 4);
+
+  FakeAm high;
+  const AppId high_app = rm_->RegisterApp(&high, 9);
+  rm_->RequestContainers(high_app, 8);
+  sim_.Run();
+  // Only node 1's four survivors can be asked to vacate.
+  ASSERT_EQ(low.preempted.size(), 4u);
+  for (ContainerId id : low.preempted) {
+    const Container* victim = rm_->FindContainer(id);
+    ASSERT_NE(victim, nullptr) << "lost container " << id.value();
+    EXPECT_EQ(victim->node, NodeId(1));
+  }
+  for (ContainerId id : low.preempted) rm_->ReleaseContainer(id);
+  sim_.Run();
+  EXPECT_EQ(high.allocated.size(), 4u);
+  EXPECT_EQ(rm_->preempt_events_sent(), 4);
+}
+
 }  // namespace
 }  // namespace ckpt

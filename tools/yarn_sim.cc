@@ -4,8 +4,8 @@
 //   $ yarn-sim --policy=checkpoint --medium=hdd --scheduling=capacity
 //              --guarantee=0.4
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/parse_int.h"
@@ -70,6 +70,16 @@ struct IntFlag {
   int* out;
 };
 
+// A strict floating-point flag: the whole value must be a finite number in
+// [lo, hi]; `expected` describes that range in the error message.
+struct DoubleFlag {
+  const char* name;
+  double lo;
+  double hi;
+  const char* expected;
+  double* out;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,6 +93,18 @@ int main(int argc, char** argv) {
       {"--nodes", 1, 100000, &flags.nodes},
       {"--containers", 1, 1000, &flags.containers},
       {"--rack-size", 0, 100000, &flags.rack_size},
+  };
+  // The RM CHECKs the guarantee is a share in [0, 1] and Algorithm 1 its
+  // threshold is positive; a bandwidth of 0 turns its domain off.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const DoubleFlag double_flags[] = {
+      {"--guarantee", 0.0, 1.0, "a number in [0, 1]", &flags.guarantee},
+      {"--threshold", std::numeric_limits<double>::denorm_min(), kMax,
+       "a number > 0", &flags.threshold},
+      {"--net-aggregate-gbps", 0.0, kMax, "a number >= 0",
+       &flags.net_aggregate_gbps},
+      {"--rack-uplink-gbps", 0.0, kMax, "a number >= 0",
+       &flags.rack_uplink_gbps},
   };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -107,15 +129,21 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (ParseFlag(arg, "--guarantee", &value)) {
-      flags.guarantee = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "--threshold", &value)) {
-      flags.threshold = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "--net-aggregate-gbps", &value)) {
-      flags.net_aggregate_gbps = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "--rack-uplink-gbps", &value)) {
-      flags.rack_uplink_gbps = std::atof(value.c_str());
-    } else if (std::strcmp(arg, "--net-charge-receiver") == 0) {
+    const DoubleFlag* double_flag = nullptr;
+    for (const DoubleFlag& f : double_flags) {
+      if (ParseFlag(arg, f.name, &value)) double_flag = &f;
+    }
+    if (double_flag != nullptr) {
+      if (!ParseDoubleInRange(value, double_flag->lo, double_flag->hi,
+                              double_flag->out)) {
+        std::fprintf(stderr, "bad %s value: %s (expected %s)\n",
+                     double_flag->name, value.c_str(), double_flag->expected);
+        Usage(argv[0]);
+        return 2;
+      }
+      continue;
+    }
+    if (std::strcmp(arg, "--net-charge-receiver") == 0) {
       flags.charge_receiver = true;
     } else if (std::strcmp(arg, "--no-incremental") == 0) {
       flags.incremental = false;
