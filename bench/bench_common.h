@@ -13,9 +13,11 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/parse_int.h"
 #include "common/thread_pool.h"
 #include "metrics/report.h"
 #include "obs/observability.h"
@@ -158,18 +160,27 @@ inline void PrintHeader(const std::string& title) {
 // inline, which is the reference execution the determinism tests compare
 // against. The result is clamped to the machine's core count (see
 // ClampSweepWorkers) so an over-asked --jobs cannot silently slow a
-// CPU-bound sweep down; CKPT_SWEEP_NO_CLAMP lifts the clamp.
+// CPU-bound sweep down; CKPT_SWEEP_NO_CLAMP lifts the clamp. A value that
+// is not an integer in [1, 1024] exits with status 2.
 inline int ExtractJobsFlag(int* argc, char** argv) {
   int workers = 1;
   int kept = 1;
+  auto parse = [&](const char* value) {
+    if (!ParseIntInRange(std::string_view(value), 1, 1024, &workers)) {
+      std::fprintf(stderr,
+                   "bad --jobs value: %s (expected an integer in [1, 1024])\n",
+                   value);
+      std::exit(2);
+    }
+  };
   for (int i = 1; i < *argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) {
-      workers = std::atoi(arg.c_str() + 7);
+      parse(argv[i] + 7);
       continue;
     }
     if (arg == "--jobs" && i + 1 < *argc) {
-      workers = std::atoi(argv[++i]);
+      parse(argv[++i]);
       continue;
     }
     argv[kept++] = argv[i];

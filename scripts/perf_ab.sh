@@ -1,25 +1,47 @@
 #!/usr/bin/env bash
-# Same-host A/B timing of two commits on one perfbench workload (report
-# only: it never gates on speed).
+# Same-host A/B timing of two commits on one perfbench workload.
 #
-# Builds perfbench_runner for BASE and HEAD from their own sources in
-# temporary git worktrees, then runs N interleaved pass pairs: pair k runs
-# seed k on both sides, and the side that goes first alternates from pair
-# to pair so drift on a shared host hits both equally. Prints each side's
-# median run_s and setup_s and the HEAD/BASE ratio.
+# Builds perfbench_runner for BASE and HEAD from their own sources
+# (exported with `git archive` into a temporary directory), then runs N
+# interleaved pass pairs: pair k runs seed k on both sides, and the side
+# that goes first alternates from pair to pair so drift on a shared host
+# hits both equally. Prints each side's median run_s and setup_s, the
+# HEAD/BASE ratio, and how many pairs HEAD won.
 #
-# Exit status is non-zero when a pass fails (non-zero exit, no report, or
-# unfinished jobs/tasks) or when the two sides' modelled `outcome` objects
-# differ for any seed: that check is the byte-identity guard for a change
-# meant to alter speed only. perfbench/ is read, never written.
+# Exit status:
+#   1  a pass failed (non-zero exit, no report, or unfinished jobs/tasks)
+#      or the two sides' modelled `outcome` objects differ for any seed:
+#      the byte-identity guard for a change meant to alter speed only;
+#   3  with --gate RATIO, HEAD's median run_s exceeds RATIO x BASE's;
+#   2  bad usage.
+# Without --gate the script only reports speed. perfbench/ is read, never
+# written.
 #
-# Usage: scripts/perf_ab.sh BASE HEAD WORKLOAD [N]   (N defaults to 5)
+# Usage: scripts/perf_ab.sh [--gate RATIO] BASE HEAD WORKLOAD [N]
+#   (N defaults to 5)
 #   e.g. scripts/perf_ab.sh HEAD~1 HEAD yarn_fb 10
+#        scripts/perf_ab.sh --gate 1.10 origin/main HEAD colocated_contended
 set -euo pipefail
 
-if [[ $# -lt 3 || $# -gt 4 ]]; then
-  echo "usage: $0 BASE HEAD WORKLOAD [N]" >&2
+usage() {
+  echo "usage: $0 [--gate RATIO] BASE HEAD WORKLOAD [N]" >&2
   exit 2
+}
+
+gate=""
+if [[ $# -ge 1 && "$1" == "--gate" ]]; then
+  [[ $# -ge 2 ]] || usage
+  gate="$2"
+  shift 2
+  # A positive decimal such as 1, 0.75 or 1.1.
+  if ! [[ "$gate" =~ ^([0-9]+(\.[0-9]*)?|\.[0-9]+)$ ]] ||
+     [[ "$gate" =~ ^[0.]*$ ]]; then
+    echo "perf_ab: RATIO must be a positive number, got '$gate'" >&2
+    exit 2
+  fi
+fi
+if [[ $# -lt 3 || $# -gt 4 ]]; then
+  usage
 fi
 base_rev="$1"
 head_rev="$2"
@@ -34,24 +56,15 @@ repo="$(git rev-parse --show-toplevel)"
 base_sha="$(git -C "$repo" rev-parse --verify "$base_rev^{commit}")"
 head_sha="$(git -C "$repo" rev-parse --verify "$head_rev^{commit}")"
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/perf_ab.XXXXXX")"
-cleanup() {
-  for side in base head; do
-    if [[ -d "$tmp/$side" ]]; then
-      git -C "$repo" worktree remove --force "$tmp/$side" > /dev/null 2>&1 ||
-        true
-    fi
-  done
-  git -C "$repo" worktree prune > /dev/null 2>&1 || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
 jobs="$(nproc 2>/dev/null || echo 1)"
 (( jobs > 4 )) && jobs=4
 for side in base head; do
   sha="$base_sha"
   [[ "$side" == head ]] && sha="$head_sha"
-  git -C "$repo" worktree add --detach "$tmp/$side" "$sha" > /dev/null 2>&1
+  mkdir "$tmp/$side"
+  git -C "$repo" archive "$sha" | tar -x -C "$tmp/$side"
   echo "perf_ab: building $side ($sha)" >&2
   if ! { cmake -S "$tmp/$side/perfbench" -B "$tmp/build-$side" \
            -DCMAKE_BUILD_TYPE=Release &&
@@ -64,7 +77,7 @@ for side in base head; do
 done
 
 python3 - "$tmp/build-base/perfbench_runner" "$tmp/build-head/perfbench_runner" \
-  "$workload" "$passes" <<'EOF'
+  "$workload" "$passes" "$gate" <<'EOF'
 import json
 import statistics
 import subprocess
@@ -73,6 +86,7 @@ import sys
 runners = {"base": sys.argv[1], "head": sys.argv[2]}
 workload = sys.argv[3]
 passes = int(sys.argv[4])
+gate = float(sys.argv[5]) if sys.argv[5] else None
 TIMEOUT_S = 300
 
 
@@ -100,6 +114,8 @@ def run(side, seed):
 samples = {"base": {"run_s": [], "setup_s": []},
            "head": {"run_s": [], "setup_s": []}}
 failures = []
+head_wins = 0
+pairs = 0
 for k in range(passes):
     seed = k + 1
     order = ("base", "head") if k % 2 == 0 else ("head", "base")
@@ -117,6 +133,10 @@ for k in range(passes):
         if side in reports:
             line += f" {side} run_s={reports[side]['run_s']:.4f}"
     print(line)
+    if len(reports) == 2:
+        pairs += 1
+        if reports["head"]["run_s"] < reports["base"]["run_s"]:
+            head_wins += 1
     if len(reports) == 2 and (reports["base"]["outcome"] !=
                               reports["head"]["outcome"]):
         failures.append(f"seed {seed}: outcome differs: base "
@@ -131,7 +151,19 @@ for metric in ("run_s", "setup_s"):
     mb, mh = statistics.median(b), statistics.median(h)
     ratio = mh / mb if mb > 0 else float("nan")
     print(f"  {metric:8s} base {mb:.4f}  head {mh:.4f}  head/base {ratio:.3f}")
+print(f"  head faster in {head_wins}/{pairs} pairs")
 for failure in failures:
     print(f"perf_ab: FAIL: {failure}")
-sys.exit(1 if failures else 0)
+if failures:
+    sys.exit(1)
+if gate is not None:
+    b, h = samples["base"]["run_s"], samples["head"]["run_s"]
+    mb, mh = statistics.median(b), statistics.median(h)
+    if mh > gate * mb:
+        print(f"perf_ab: GATE FAIL: head median run_s {mh:.4f} > "
+              f"{gate} x base {mb:.4f}")
+        sys.exit(3)
+    print(f"perf_ab: gate ok: head median run_s {mh:.4f} <= "
+          f"{gate} x base {mb:.4f}")
+sys.exit(0)
 EOF

@@ -26,50 +26,36 @@ BandwidthDomain* NetworkModel::RackDomain(int rack) {
   return it->second.get();
 }
 
-std::vector<BandwidthDomain*> NetworkModel::StagesFor(NodeId src, NodeId dst) {
-  std::vector<BandwidthDomain*> stages;
+NetworkModel::Stages NetworkModel::StagesFor(NodeId src, NodeId dst) {
+  Stages stages;
   if (config_.rack_size > 0 && config_.rack_uplink_bw > 0) {
     const int src_rack = RackOf(src);
     const int dst_rack = RackOf(dst);
     if (src_rack == dst_rack) return stages;  // stays on the ToR switch
-    stages.push_back(RackDomain(src_rack));
-    if (aggregate_ != nullptr) stages.push_back(aggregate_.get());
-    stages.push_back(RackDomain(dst_rack));
+    stages.Add(RackDomain(src_rack));
+    if (aggregate_ != nullptr) stages.Add(aggregate_.get());
+    stages.Add(RackDomain(dst_rack));
     return stages;
   }
-  if (aggregate_ != nullptr) stages.push_back(aggregate_.get());
+  if (aggregate_ != nullptr) stages.Add(aggregate_.get());
   return stages;
 }
 
 void NetworkModel::StartDomainChain(NodeId src, NodeId dst, Bytes size,
                                     std::function<void()> done) {
-  std::vector<BandwidthDomain*> stages = StagesFor(src, dst);
-  const SimDuration latency = config_.fabric_latency;
-  if (stages.empty()) {
-    sim_->ScheduleAt(sim_->Now() + latency, std::move(done));
+  DrainStage(StagesFor(src, dst), 0, size, std::move(done));
+}
+
+void NetworkModel::DrainStage(const Stages& stages, int i, Bytes size,
+                              std::function<void()> done) {
+  if (i >= stages.count) {
+    sim_->ScheduleAt(sim_->Now() + config_.fabric_latency, std::move(done));
     return;
   }
-  // Drain each stage in order, then deliver after the fabric latency.
-  struct Chain {
-    std::vector<BandwidthDomain*> stages;
-    std::function<void()> done;
-  };
-  auto chain = std::make_shared<Chain>();
-  chain->stages = std::move(stages);
-  chain->done = std::move(done);
-  auto step = std::make_shared<std::function<void(size_t)>>();
-  // The step refers to itself only weakly: the in-flight stage's completion
-  // callback owns it, so the chain is freed once its last stage drains.
-  *step = [this, size, latency, chain,
-           weak = std::weak_ptr<std::function<void(size_t)>>(step)](size_t i) {
-    if (i >= chain->stages.size()) {
-      sim_->ScheduleAt(sim_->Now() + latency, std::move(chain->done));
-      return;
-    }
-    chain->stages[i]->StartFlow(size,
-                                [step = weak.lock(), i] { (*step)(i + 1); });
-  };
-  (*step)(0);
+  stages.at[static_cast<size_t>(i)]->StartFlow(
+      size, [this, stages, i, size, done = std::move(done)]() mutable {
+        DrainStage(stages, i + 1, size, std::move(done));
+      });
 }
 
 SimTime NetworkModel::Transfer(NodeId src, NodeId dst, Bytes size,

@@ -18,11 +18,11 @@
 //    (or, without racks, every remote) transfer additionally drains.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/logging.h"
@@ -97,11 +97,23 @@ class NetworkModel {
     SimTime in_busy_until = 0;  // ingress, used only with charge_receiver
   };
 
+  // Shared stages a src->dst transfer crosses, in drain order: at most
+  // source rack uplink, aggregate, destination rack uplink.
+  struct Stages {
+    std::array<BandwidthDomain*, 3> at{};
+    int count = 0;
+    void Add(BandwidthDomain* domain) {
+      at[static_cast<size_t>(count++)] = domain;
+    }
+  };
+
   BandwidthDomain* RackDomain(int rack);
-  // Shared stages a src->dst transfer crosses, in drain order.
-  std::vector<BandwidthDomain*> StagesFor(NodeId src, NodeId dst);
+  Stages StagesFor(NodeId src, NodeId dst);
   void StartDomainChain(NodeId src, NodeId dst, Bytes size,
                         std::function<void()> done);
+  // Drain `size` through stages[i..], then deliver after the fabric latency.
+  void DrainStage(const Stages& stages, int i, Bytes size,
+                  std::function<void()> done);
 
   Simulator* sim_;
   NetworkConfig config_;

@@ -98,6 +98,7 @@ class SimCallback {
   static constexpr std::size_t kInlineSize = 64;
 
   SimCallback() = default;
+  SimCallback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<

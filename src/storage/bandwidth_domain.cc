@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -25,7 +25,7 @@ BandwidthDomain::BandwidthDomain(Simulator* sim, std::string name,
 
 double BandwidthDomain::PerFlowRate() const {
   // Bytes per microsecond at the current population.
-  return capacity_ / 1e6 / static_cast<double>(flows_.size());
+  return capacity_ / 1e6 / static_cast<double>(remaining_.size());
 }
 
 void BandwidthDomain::Advance() {
@@ -33,31 +33,29 @@ void BandwidthDomain::Advance() {
   if (now <= last_advance_) return;
   const SimDuration dt = now - last_advance_;
   last_advance_ = now;
-  if (flows_.empty()) return;
+  if (remaining_.empty()) return;
   busy_time_ += dt;
   const double drained = static_cast<double>(dt) * PerFlowRate();
-  for (auto& [id, flow] : flows_) {
-    flow.remaining = std::max(0.0, flow.remaining - drained);
-  }
+  for (double& r : remaining_) r = std::max(0.0, r - drained);
+  // The same monotonic operation keeps the minimum exact (see header).
+  min_remaining_ = std::max(0.0, min_remaining_ - drained);
 }
 
-BandwidthDomain::FlowId BandwidthDomain::StartFlow(Bytes bytes,
-                                                   std::function<void()> done) {
+void BandwidthDomain::StartFlow(Bytes bytes, SimCallback done) {
   CKPT_CHECK_GE(bytes, 0);
   Advance();
-  const FlowId id = next_flow_++;
-  Flow& flow = flows_[id];
-  flow.remaining = static_cast<double>(bytes);
-  flow.done = std::move(done);
+  const double size = static_cast<double>(bytes);
+  min_remaining_ = remaining_.empty() ? size : std::min(min_remaining_, size);
+  remaining_.push_back(size);
+  done_.push_back(std::move(done));
   total_bytes_ += bytes;
-  peak_flows_ = std::max(peak_flows_, static_cast<int>(flows_.size()));
+  peak_flows_ = std::max(peak_flows_, static_cast<int>(remaining_.size()));
   Reschedule();
-  return id;
 }
 
 SimDuration BandwidthDomain::EstimateDrain(Bytes bytes) const {
   const double rate =
-      capacity_ / 1e6 / static_cast<double>(flows_.size() + 1);
+      capacity_ / 1e6 / static_cast<double>(remaining_.size() + 1);
   return static_cast<SimDuration>(
       std::ceil(static_cast<double>(bytes) / rate));
 }
@@ -67,13 +65,9 @@ void BandwidthDomain::Reschedule() {
     sim_->Cancel(next_event_);
     event_armed_ = false;
   }
-  if (flows_.empty()) return;
-  double min_remaining = flows_.begin()->second.remaining;
-  for (const auto& [id, flow] : flows_) {
-    min_remaining = std::min(min_remaining, flow.remaining);
-  }
+  if (remaining_.empty()) return;
   const SimDuration delay = static_cast<SimDuration>(
-      std::ceil(min_remaining / PerFlowRate()));
+      std::ceil(min_remaining_ / PerFlowRate()));
   // Advance() ran in the caller, so last_advance_ == Now().
   next_event_ = sim_->ScheduleAt(last_advance_ + delay, [this] { OnCompletion(); });
   event_armed_ = true;
@@ -82,22 +76,33 @@ void BandwidthDomain::Reschedule() {
 void BandwidthDomain::OnCompletion() {
   event_armed_ = false;
   Advance();
-  // Collect finished flows in id order, re-arm, then deliver: callbacks may
-  // start new flows reentrantly and must see a consistent pool.
-  std::vector<std::function<void()>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.remaining <= kResidueBytes) {
-      done.push_back(std::move(it->second.done));
-      it = flows_.erase(it);
-      ++flows_completed_;
-    } else {
-      ++it;
+  // Collect finished flows in start order, compacting the survivors in
+  // place, then re-arm, then deliver: callbacks may start new flows
+  // reentrantly and must see a consistent pool.
+  double min_left = std::numeric_limits<double>::infinity();
+  size_t kept = 0;
+  for (size_t i = 0; i < remaining_.size(); ++i) {
+    const double r = remaining_[i];
+    if (r <= kResidueBytes) {
+      finished_.push_back(std::move(done_[i]));
+      continue;
     }
+    if (kept != i) {
+      remaining_[kept] = r;
+      done_[kept] = std::move(done_[i]);
+    }
+    min_left = std::min(min_left, r);
+    ++kept;
   }
+  flows_completed_ += static_cast<std::int64_t>(remaining_.size() - kept);
+  remaining_.resize(kept);
+  done_.resize(kept);
+  min_remaining_ = min_left;
   Reschedule();
-  for (auto& cb : done) {
+  for (SimCallback& cb : finished_) {
     if (cb) cb();
   }
+  finished_.clear();
 }
 
 }  // namespace ckpt

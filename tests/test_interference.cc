@@ -4,6 +4,14 @@
 // waste-ledger reconciliation of interference-enabled scheduler runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/dump_scheduler.h"
@@ -74,6 +82,205 @@ TEST(BandwidthDomain, EstimateDrainCountsTheJoiningFlow) {
   // One active flow: the joiner would get capacity/2.
   EXPECT_NEAR(ToSeconds(pool.EstimateDrain(MiB(100))), 2.097, 0.02);
   EXPECT_DOUBLE_EQ(pool.ContentionFactor(), 2.0);
+}
+
+// --- BandwidthDomain vs the map-based reference model ----------------------
+
+// The processor-sharing pool as first written: flows in an id-keyed
+// std::map, Advance() and Reschedule() each walking every active flow. The
+// flat-array BandwidthDomain must reproduce it exactly.
+class ReferenceDomain {
+ public:
+  ReferenceDomain(Simulator* sim, const std::string& /*name*/,
+                  Bandwidth capacity)
+      : sim_(sim), capacity_(capacity) {}
+
+  void StartFlow(Bytes bytes, std::function<void()> done) {
+    Advance();
+    Flow& flow = flows_[next_flow_++];
+    flow.remaining = static_cast<double>(bytes);
+    flow.done = std::move(done);
+    total_bytes_ += bytes;
+    peak_flows_ = std::max(peak_flows_, static_cast<int>(flows_.size()));
+    Reschedule();
+  }
+
+  int peak_flows() const { return peak_flows_; }
+  std::int64_t flows_completed() const { return flows_completed_; }
+  Bytes total_bytes() const { return total_bytes_; }
+  SimDuration busy_time() const { return busy_time_; }
+
+ private:
+  struct Flow {
+    double remaining = 0;
+    std::function<void()> done;
+  };
+
+  double PerFlowRate() const {
+    return capacity_ / 1e6 / static_cast<double>(flows_.size());
+  }
+
+  void Advance() {
+    const SimTime now = sim_->Now();
+    if (now <= last_advance_) return;
+    const SimDuration dt = now - last_advance_;
+    last_advance_ = now;
+    if (flows_.empty()) return;
+    busy_time_ += dt;
+    const double drained = static_cast<double>(dt) * PerFlowRate();
+    for (auto& [id, flow] : flows_) {
+      flow.remaining = std::max(0.0, flow.remaining - drained);
+    }
+  }
+
+  void Reschedule() {
+    if (event_armed_) {
+      sim_->Cancel(next_event_);
+      event_armed_ = false;
+    }
+    if (flows_.empty()) return;
+    double min_remaining = flows_.begin()->second.remaining;
+    for (const auto& [id, flow] : flows_) {
+      min_remaining = std::min(min_remaining, flow.remaining);
+    }
+    const SimDuration delay = static_cast<SimDuration>(
+        std::ceil(min_remaining / PerFlowRate()));
+    next_event_ =
+        sim_->ScheduleAt(last_advance_ + delay, [this] { OnCompletion(); });
+    event_armed_ = true;
+  }
+
+  void OnCompletion() {
+    event_armed_ = false;
+    Advance();
+    std::vector<std::function<void()>> done;
+    for (auto it = flows_.begin(); it != flows_.end();) {
+      if (it->second.remaining <= 0.5) {
+        done.push_back(std::move(it->second.done));
+        it = flows_.erase(it);
+        ++flows_completed_;
+      } else {
+        ++it;
+      }
+    }
+    Reschedule();
+    for (auto& cb : done) {
+      if (cb) cb();
+    }
+  }
+
+  Simulator* sim_;
+  Bandwidth capacity_;
+  std::map<std::int64_t, Flow> flows_;
+  std::int64_t next_flow_ = 1;
+  SimTime last_advance_ = 0;
+  EventHandle next_event_;
+  bool event_armed_ = false;
+  int peak_flows_ = 0;
+  std::int64_t flows_completed_ = 0;
+  Bytes total_bytes_ = 0;
+  SimDuration busy_time_ = 0;
+};
+
+struct FlowStart {
+  SimTime at = 0;
+  Bytes bytes = 0;
+};
+
+// A seeded mix of zero-byte, few-byte, KB and MB flows with bursts of
+// identical flows started in the same microsecond.
+std::vector<FlowStart> MixedFlowSchedule(int flows, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<FlowStart> schedule;
+  SimTime now = 0;
+  while (static_cast<int>(schedule.size()) < flows) {
+    now += static_cast<SimTime>(rng() % 160000);  // mean gap 80 ms
+    Bytes bytes = 0;
+    switch (rng() % 10) {
+      case 0: bytes = 0; break;
+      case 1: bytes = 1 + static_cast<Bytes>(rng() % 8); break;
+      case 2: case 3: case 4:
+        bytes = kKiB + static_cast<Bytes>(rng() % kMiB); break;
+      default: bytes = kMiB + static_cast<Bytes>(rng() % (7 * kMiB)); break;
+    }
+    // A burst of one to four flows in the same microsecond; the burst's
+    // flows share a size half the time, so they finish together.
+    const int burst = 1 + static_cast<int>(rng() % 4);
+    const bool same_size = rng() % 2 == 0;
+    for (int i = 0; i < burst; ++i) {
+      schedule.push_back({now, bytes});
+      if (!same_size) bytes += static_cast<Bytes>(rng() % 4096);
+    }
+  }
+  schedule.resize(static_cast<size_t>(flows));
+  return schedule;
+}
+
+struct FlowLog {
+  std::vector<std::pair<int, SimTime>> completions;  // (flow tag, time)
+  int peak_flows = 0;
+  SimDuration busy_time = 0;
+  Bytes total_bytes = 0;
+  std::int64_t flows_completed = 0;
+};
+
+// Drive `Domain` through the schedule. Every 13th flow has a null callback;
+// every 5th flow's completion starts a follow-up flow from inside the
+// callback, tagged past the scheduled flows.
+template <typename Domain>
+FlowLog DriveDomain(const std::vector<FlowStart>& schedule) {
+  Simulator sim;
+  Domain pool(&sim, "p", MBps(100));
+  FlowLog log;
+  const int follow_up_base = static_cast<int>(schedule.size());
+  auto record = [&](int tag) { log.completions.emplace_back(tag, sim.Now()); };
+  for (size_t i = 0; i < schedule.size(); ++i) {
+    const int tag = static_cast<int>(i);
+    const Bytes bytes = schedule[i].bytes;
+    sim.ScheduleAt(schedule[i].at, [&, tag, bytes] {
+      if (tag % 13 == 0) {
+        pool.StartFlow(bytes, nullptr);
+        return;
+      }
+      pool.StartFlow(bytes, [&, tag] {
+        record(tag);
+        if (tag % 5 != 0) return;
+        const int follow_up = follow_up_base + tag;
+        pool.StartFlow((static_cast<Bytes>(tag) * 7919) % (2 * kMiB),
+                       [&, follow_up] { record(follow_up); });
+      });
+    });
+  }
+  sim.Run();
+  log.peak_flows = pool.peak_flows();
+  log.busy_time = pool.busy_time();
+  log.total_bytes = pool.total_bytes();
+  log.flows_completed = pool.flows_completed();
+  return log;
+}
+
+TEST(BandwidthDomain, MatchesTheMapBasedReferenceExactly) {
+  const std::vector<FlowStart> schedule = MixedFlowSchedule(24000, 20240611);
+  const FlowLog want = DriveDomain<ReferenceDomain>(schedule);
+  const FlowLog got = DriveDomain<BandwidthDomain>(schedule);
+  // Guard the schedule itself: the pool must actually be contended, and
+  // every scheduled and follow-up flow must finish.
+  ASSERT_GE(want.peak_flows, 8);
+  std::int64_t follow_ups = 0;
+  for (int tag = 0; tag < 24000; ++tag) {
+    if (tag % 5 == 0 && tag % 13 != 0) ++follow_ups;
+  }
+  ASSERT_EQ(want.flows_completed, 24000 + follow_ups);
+
+  ASSERT_EQ(got.completions.size(), want.completions.size());
+  for (size_t i = 0; i < want.completions.size(); ++i) {
+    ASSERT_EQ(got.completions[i], want.completions[i])
+        << "completion #" << i << " (tag, time) differs";
+  }
+  EXPECT_EQ(got.peak_flows, want.peak_flows);
+  EXPECT_EQ(got.busy_time, want.busy_time);
+  EXPECT_EQ(got.total_bytes, want.total_bytes);
+  EXPECT_EQ(got.flows_completed, want.flows_completed);
 }
 
 // --- Young/Daly interval ---------------------------------------------------

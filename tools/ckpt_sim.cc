@@ -91,15 +91,18 @@ void Usage(const char* argv0) {
       "  --restore=adaptive|local|remote          resumption policy\n"
       "  --victims=cost-aware|lowest-priority|random\n"
       "  --jobs=N          workload size (Google-like day)\n"
-      "  --util=F          average demand vs capacity (cluster sizing)\n"
-      "  --threshold=K     Algorithm 1 scaling knob\n"
+      "  --util=F          average demand vs capacity (cluster sizing),\n"
+      "                    in [0.001, 1000]\n"
+      "  --threshold=K     Algorithm 1 scaling knob (> 0)\n"
       "  --no-incremental  full dumps only\n"
       "  --no-dfs          local-only images (stock CRIU)\n"
       "  --shadow          NVRAM shadow buffering\n"
       "  --lazy            NVRAM lazy restore\n"
-      "  --resubmit=SECS   preempted-task backoff (default 15)\n"
-      "  --seed=N          workload seed\n"
+      "  --resubmit=SECS   preempted-task backoff (default 15; <= 0 off)\n"
+      "  --seed=N          workload seed (unsigned 64-bit)\n"
       "  --fail-node=I --fail-at=MIN [--fail-down=MIN]  inject a crash\n"
+      "                    (--fail-at < 0: none; --fail-down < 0: the\n"
+      "                    node stays down); times within +-1e7 minutes\n"
       "  --interference    shared-bandwidth checkpoint interference model\n"
       "  --dump-policy=naive|staggered|aware  cooperative dump admission\n"
       "                    (consulted only with --interference)\n"
@@ -125,13 +128,38 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 
 // Strict integer flag value: the whole value must be an integer in
 // [lo, hi]; otherwise report it and fail.
-bool ParseIntFlag(const char* name, const std::string& value, int lo, int hi,
-                  int* out) {
+template <typename Int>
+bool ParseIntFlag(const char* name, const std::string& value, Int lo, Int hi,
+                  Int* out) {
   if (ParseIntInRange(value, lo, hi, out)) return true;
-  std::fprintf(stderr, "bad %s value: %s (expected an integer in [%d, %d])\n",
-               name, value.c_str(), lo, hi);
+  std::fprintf(stderr, "bad %s value: %s (expected an integer in [%s, %s])\n",
+               name, value.c_str(), std::to_string(lo).c_str(),
+               std::to_string(hi).c_str());
   return false;
 }
+
+bool ParseSeed(const char* name, const std::string& value,
+               std::uint64_t* out) {
+  return ParseIntFlag<std::uint64_t>(
+      name, value, 0, std::numeric_limits<std::uint64_t>::max(), out);
+}
+
+// Strict floating-point flag value: the whole value must be a finite
+// number in [lo, hi]; `expected` describes that range in the error.
+bool ParseDoubleFlag(const char* name, const std::string& value, double lo,
+                     double hi, const char* expected, double* out) {
+  if (ParseDoubleInRange(value, lo, hi, out)) return true;
+  std::fprintf(stderr, "bad %s value: %s (expected %s)\n", name,
+               value.c_str(), expected);
+  return false;
+}
+
+// Time flags stay within +-1e7 minutes (about 19 years), so converting
+// them to microseconds cannot overflow SimDuration. A negative value keeps
+// its documented meaning (no failure, node stays down, no backoff,
+// periodic checkpointing off).
+constexpr double kMaxMinutes = 1e7;
+constexpr double kMaxSeconds = 60 * kMaxMinutes;
 
 bool Parse(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
@@ -151,13 +179,27 @@ bool Parse(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (ParseFlag(arg, "--util", &value)) {
-      flags->util = std::atof(value.c_str());
+      // Sizes the cluster as demand / util: bounded so the node count
+      // stays a sane int.
+      if (!ParseDoubleFlag("--util", value, 1e-3, 1e3,
+                           "a number in [0.001, 1000]", &flags->util)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "--threshold", &value)) {
-      flags->threshold = std::atof(value.c_str());
+      // Algorithm 1 CHECKs that its threshold is positive.
+      if (!ParseDoubleFlag("--threshold", value,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           "a number > 0", &flags->threshold)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "--resubmit", &value)) {
-      flags->resubmit_sec = std::atof(value.c_str());
+      if (!ParseDoubleFlag("--resubmit", value, -kMaxSeconds, kMaxSeconds,
+                           "seconds in [-6e8, 6e8]", &flags->resubmit_sec)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "--seed", &value)) {
-      flags->seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseSeed("--seed", value, &flags->seed)) return false;
     } else if (ParseFlag(arg, "--parallel", &value)) {
       if (!ParseIntFlag("--parallel", value, 1, 1024, &flags->parallel)) {
         return false;
@@ -168,13 +210,23 @@ bool Parse(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (ParseFlag(arg, "--fail-at", &value)) {
-      flags->fail_at_min = std::atof(value.c_str());
+      if (!ParseDoubleFlag("--fail-at", value, -kMaxMinutes, kMaxMinutes,
+                           "minutes in [-1e7, 1e7]", &flags->fail_at_min)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "--fail-down", &value)) {
-      flags->fail_down_min = std::atof(value.c_str());
+      if (!ParseDoubleFlag("--fail-down", value, -kMaxMinutes, kMaxMinutes,
+                           "minutes in [-1e7, 1e7]", &flags->fail_down_min)) {
+        return false;
+      }
     } else if (ParseFlag(arg, "--dump-policy", &flags->dump_policy)) {
       continue;
     } else if (ParseFlag(arg, "--periodic-mtbf-min", &value)) {
-      flags->periodic_mtbf_min = std::atof(value.c_str());
+      if (!ParseDoubleFlag("--periodic-mtbf-min", value, -kMaxMinutes,
+                           kMaxMinutes, "minutes in [-1e7, 1e7]",
+                           &flags->periodic_mtbf_min)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--interference") == 0) {
       flags->interference = true;
     } else if (std::strcmp(arg, "--no-incremental") == 0) {
@@ -410,7 +462,10 @@ int main(int argc, char** argv) {
         cell.flags = flags;
         cell.flags.policy = policy;
         cell.flags.medium = medium;
-        cell.flags.seed = std::strtoull(seed.c_str(), nullptr, 10);
+        if (!ParseSeed("--sweep-seeds", seed, &cell.flags.seed)) {
+          Usage(argv[0]);
+          return 2;
+        }
         if (!BuildConfig(cell.flags, &cell.config)) {
           std::fprintf(stderr, "bad sweep value: policy=%s medium=%s\n",
                        policy.c_str(), medium.c_str());
